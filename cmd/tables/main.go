@@ -100,8 +100,9 @@ func main() {
 			name, spec.Scale, len(res.Trace.Events),
 			res.Runtime.Round(time.Second), time.Since(start).Round(time.Millisecond))
 		if *verbose {
-			fmt.Fprintf(os.Stderr, "    stages: trace-merge=%s columnarize=%s analyze=%s\n",
-				timings.TraceMerge, timings.Columnarize, timings.Analyze)
+			fmt.Fprintf(os.Stderr, "    stages: trace-merge=%s columnarize=%s analyze=%s (pass1=%s pass2=%s post=%s)\n",
+				timings.TraceMerge, timings.Columnarize, timings.Analyze,
+				timings.Pass1, timings.Pass2, timings.Post)
 			s := timings.Scan
 			fmt.Fprintf(os.Stderr, "    scan: blocks=%d pruned=%d rows=%d kept=%d payload=%dB decoded=%dB\n",
 				s.BlocksTotal, s.BlocksPruned, s.RowsTotal, s.RowsKept, s.PayloadBytes, s.DecodedBytes)

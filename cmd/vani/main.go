@@ -87,8 +87,8 @@ func main() {
 		os.Exit(1)
 	}
 	if *verbose {
-		fmt.Fprintf(os.Stderr, "stages: columnarize=%s analyze=%s\n",
-			timings.Columnarize, timings.Analyze)
+		fmt.Fprintf(os.Stderr, "stages: columnarize=%s analyze=%s (pass1=%s pass2=%s post=%s)\n",
+			timings.Columnarize, timings.Analyze, timings.Pass1, timings.Pass2, timings.Post)
 		s := timings.Scan
 		fmt.Fprintf(os.Stderr, "scan: blocks=%d pruned=%d rows=%d kept=%d payload=%dB decoded=%dB\n",
 			s.BlocksTotal, s.BlocksPruned, s.RowsTotal, s.RowsKept, s.PayloadBytes, s.DecodedBytes)

@@ -636,7 +636,8 @@ func TestCharacterizeFileErrors(t *testing.T) {
 }
 
 // TestStageTimingsPopulated: the verbose pipeline exposes non-trivial
-// per-stage timings through AnalyzerOptions.Stats.
+// per-stage timings through AnalyzerOptions.Stats, down to the analyzer's
+// pass 1, pass 2 and post passes.
 func TestStageTimingsPopulated(t *testing.T) {
 	w, err := New("hacc")
 	if err != nil {
@@ -660,6 +661,10 @@ func TestStageTimingsPopulated(t *testing.T) {
 	}
 	if timings.Analyze <= 0 {
 		t.Error("Analyze timing not recorded")
+	}
+	if timings.Pass1 <= 0 || timings.Pass2 <= 0 || timings.Post <= 0 {
+		t.Errorf("analyzer stage timings not recorded: pass1=%v pass2=%v post=%v",
+			timings.Pass1, timings.Pass2, timings.Post)
 	}
 }
 

@@ -46,8 +46,11 @@ type Timings struct {
 	TraceMerge time.Duration
 	// Columnarize is the row-to-column transposition time.
 	Columnarize time.Duration
-	// Analyze is the fused characterization time.
-	Analyze time.Duration
+	// Analyze is the fused characterization time; Pass1, Pass2 and Post
+	// split it into the level-resolution scan, the characterization scan
+	// and everything after it (pass 3 and the entity builders).
+	Analyze            time.Duration
+	Pass1, Pass2, Post time.Duration
 	// Scan counts what the scan plan did: blocks pruned via the footer
 	// index, rows dropped by the residual filter, payload bytes decoded vs
 	// available. Filled by the file scan path (or, for in-memory filtering,
@@ -66,10 +69,6 @@ const (
 	pass2Cols = trace.ColLevel | trace.ColOp | trace.ColApp | trace.ColFile |
 		trace.ColRank | trace.ColNode | trace.ColSize | trace.ColStart |
 		trace.ColEnd
-	// postCols covers the random-access post passes (phases, access
-	// patterns, dominant sizes, interface resolution).
-	postCols = trace.ColOp | trace.ColStart | trace.ColEnd | trace.ColSize |
-		trace.ColRank | trace.ColFile | trace.ColOffset | trace.ColLib
 )
 
 // DefaultOptions returns the analyzer settings used for the paper tables.
@@ -163,6 +162,8 @@ func AnalyzeTableContext(ctx context.Context, hdr *trace.Trace, tb *colstore.Tab
 	}
 	if opt.Stats != nil {
 		opt.Stats.Analyze = time.Since(t0)
+		opt.Stats.Pass1, opt.Stats.Pass2 = a.pass1Time, a.pass2Time
+		opt.Stats.Post = opt.Stats.Analyze - a.pass1Time - a.pass2Time
 	}
 	return c, nil
 }
@@ -174,23 +175,12 @@ type analysis struct {
 	opt Options
 	par int
 
-	// Filled by the fused scan. The row subsets arrive either as plain
-	// row lists (map-keyed fallback scan) or as constant-key segments
-	// (grouped scan, a.grouped set); run() gathers whichever form into
-	// the views the post passes consume.
-	runtime     time.Duration
-	gpuUsed     bool
-	appRanks    map[int32]int // ranks that emitted any event, per app
-	primary     []int         // rows at each (app, file) stream's primary level
-	posix       []int         // POSIX-level I/O rows
-	byApp       map[int32][]int
-	grouped     bool
-	primarySegs []rowSeg
-	posixSegs   []rowSeg
-	byAppSegs   map[int32][]rowSeg
-	primaryV    *rowView
-	posixV      *rowView
-	fileAgg     map[int32]*fileAgg
+	// Filled by the fused scan (passes 1 and 2).
+	runtime    time.Duration
+	gpuUsed    bool
+	appRanks   map[int32]int // ranks that emitted any event, per app
+	sels       []chunkSel    // per-chunk primary and POSIX row selections
+	fileAgg    map[int32]*fileAgg
 	readBytes  int64
 	writeBytes int64
 	primData   int64
@@ -200,6 +190,17 @@ type analysis struct {
 	readTL     *stats.Timeline
 	writeTL    *stats.Timeline
 	perRank    map[int32]*rankAcc
+
+	// Filled by pass 3 (post.go).
+	ioTime       time.Duration
+	phaseList    []*phase
+	primSizes    [2]sizeCounts // read, write
+	posixSizes   [2]sizeCounts
+	primStreams  streams
+	posixStreams streams
+	appTallies   map[int32]*appTally
+
+	pass1Time, pass2Time time.Duration
 }
 
 type fileAgg struct {
@@ -263,20 +264,8 @@ func (a *analysis) run() (*Characterization, error) {
 	if err := a.fusedScan(); err != nil {
 		return nil, err
 	}
-	// The post passes random-access small row subsets across many columns;
-	// materialize their declared set up front rather than per accessor call.
-	if err := a.tb.MaterializeContext(a.ctx, a.par, postCols); err != nil {
+	if err := a.postScan(); err != nil {
 		return nil, err
-	}
-	if err := a.ctx.Err(); err != nil {
-		return nil, err
-	}
-	if a.grouped {
-		a.primaryV = a.viewSegs(a.primarySegs, primaryViewCols)
-		a.posixV = a.viewSegs(a.posixSegs, posixViewCols)
-	} else {
-		a.primaryV = a.viewRows(a.primary, primaryViewCols)
-		a.posixV = a.viewRows(a.posix, posixViewCols)
 	}
 
 	c := &Characterization{Workload: a.tr.Meta.Workload}
@@ -312,14 +301,12 @@ type pass1 struct {
 	appRanks map[int32]map[int32]bool
 }
 
-// pass2 is the per-chunk partial of the fused characterization scan. Row
-// lists concatenate in chunk order (preserving global row order); every
+// pass2 is the per-chunk partial of the fused characterization scan. Every
 // numeric accumulator is an integer sum and every set a union, so the
-// merged result is bit-identical at any parallelism.
+// merged result is bit-identical at any parallelism; sel is the chunk's
+// row selection for pass 3.
 type pass2 struct {
-	primary    []int
-	posix      []int
-	byApp      map[int32][]int
+	sel        chunkSel
 	files      map[int32]*fileAgg
 	readBytes  int64
 	writeBytes int64
@@ -339,6 +326,7 @@ type pass2 struct {
 // column set and Requires it per chunk, so a lazily planned table decodes
 // exactly the columns the pass touches.
 func (a *analysis) fusedScan() error {
+	t0 := time.Now()
 	// Grouped execution first: when the key columns unify to dense codes,
 	// the whole scan runs on flat arrays and key spans (analyzer_grouped.go)
 	// with byte-identical results; otherwise this map-keyed path runs.
@@ -450,6 +438,7 @@ func (a *analysis) fusedScan() error {
 	for app, ranks := range appRankSets {
 		a.appRanks[app] = len(ranks)
 	}
+	a.pass1Time = time.Since(t0)
 
 	// Pass 2: the fused characterization scan at the resolved levels.
 	span := a.runtime
@@ -477,7 +466,7 @@ func (a *analysis) fusedScan() error {
 			return
 		}
 		p := &pass2{
-			byApp:   map[int32][]int{},
+			sel:     newChunkSel(c.N),
 			files:   map[int32]*fileAgg{},
 			readTL:  stats.NewTimeline(span, bins),
 			writeTL: stats.NewTimeline(span, bins),
@@ -493,15 +482,13 @@ func (a *analysis) fusedScan() error {
 			if !op.IsIO() {
 				continue
 			}
-			i := c.Base + j
 			if trace.Level(c.Level[j]) == trace.LevelPosix {
-				p.posix = append(p.posix, i)
+				p.sel.addPosix(j, j+1)
 			}
 			if c.Level[j] != levels[appFile{c.App[j], c.File[j]}] {
 				continue
 			}
-			p.primary = append(p.primary, i)
-			p.byApp[c.App[j]] = append(p.byApp[c.App[j]], i)
+			p.sel.addPrim(c, j, j+1)
 			dur := c.End[j] - c.Start[j]
 			if op.IsData() {
 				p.data++
@@ -569,17 +556,13 @@ func (a *analysis) fusedScan() error {
 		}
 	}
 
-	a.byApp = map[int32][]int{}
+	a.sels = make([]chunkSel, nchunks)
 	a.fileAgg = map[int32]*fileAgg{}
 	a.readTL = stats.NewTimeline(span, bins)
 	a.writeTL = stats.NewTimeline(span, bins)
 	a.perRank = map[int32]*rankAcc{}
-	for _, p := range p2 {
-		a.primary = append(a.primary, p.primary...)
-		a.posix = append(a.posix, p.posix...)
-		for app, rows := range p.byApp {
-			a.byApp[app] = append(a.byApp[app], rows...)
-		}
+	for k, p := range p2 {
+		a.sels[k] = p.sel
 		for f, fa := range p.files {
 			if cur := a.fileAgg[f]; cur != nil {
 				cur.merge(fa)
@@ -606,6 +589,7 @@ func (a *analysis) fusedScan() error {
 			}
 		}
 	}
+	a.pass2Time = time.Since(t0) - a.pass1Time
 	return nil
 }
 
@@ -624,19 +608,12 @@ func (a *analysis) spanPass2(c *colstore.Chunk, spans []colstore.Span, levels ma
 			continue
 		}
 		if trace.Level(s.Level) == trace.LevelPosix {
-			for j := s.Lo; j < s.Hi; j++ {
-				p.posix = append(p.posix, c.Base+j)
-			}
+			p.sel.addPosix(s.Lo, s.Hi)
 		}
 		if s.Level != levels[appFile{s.App, s.File}] {
 			continue
 		}
-		rows := p.byApp[s.App]
-		for j := s.Lo; j < s.Hi; j++ {
-			p.primary = append(p.primary, c.Base+j)
-			rows = append(rows, c.Base+j)
-		}
-		p.byApp[s.App] = rows
+		p.sel.addPrim(c, s.Lo, s.Hi)
 		n := int64(s.Hi - s.Lo)
 		if op.IsData() {
 			p.data += n
@@ -728,10 +705,6 @@ func (a *analysis) spanPass2(c *colstore.Chunk, spans []colstore.Span, levels ma
 	}
 }
 
-// byApp row lists concatenate per-chunk partials whose in-chunk appends are
-// in row order, so each app's rows are globally ascending — the same order
-// the old per-app filtering produced.
-
 func (a *analysis) jobConfig() JobConfigEntity {
 	m := a.tr.Meta
 	return JobConfigEntity{
@@ -745,18 +718,6 @@ func (a *analysis) jobConfig() JobConfigEntity {
 	}
 }
 
-// opCounts tallies data and meta ops over a view range.
-func opCounts(v *rowView, lo, hi int) (data, meta int64) {
-	for _, b := range v.op[lo:hi] {
-		if op := trace.Op(b); op.IsData() {
-			data++
-		} else if op.IsMeta() {
-			meta++
-		}
-	}
-	return
-}
-
 func pcts(data, meta int64) (float64, float64) {
 	total := data + meta
 	if total == 0 {
@@ -765,83 +726,10 @@ func pcts(data, meta int64) (float64, float64) {
 	return float64(data) / float64(total), float64(meta) / float64(total)
 }
 
-// unionDuration merges [start,end) intervals of the view's rows and
-// returns the total covered time — the workload's I/O wall-clock. Table
-// order is Start-sorted for tracer-built traces, so the sort is detected
-// away in one pass; the interval union is order-independent either way.
-func unionDuration(v *rowView) time.Duration {
-	if v.n == 0 {
-		return 0
-	}
-	type iv struct{ s, e int64 }
-	ivs := make([]iv, v.n)
-	sorted := true
-	for i := 0; i < v.n; i++ {
-		ivs[i] = iv{v.start[i], v.end[i]}
-		if i > 0 && ivs[i].s < ivs[i-1].s {
-			sorted = false
-		}
-	}
-	if !sorted {
-		sort.Slice(ivs, func(x, y int) bool { return ivs[x].s < ivs[y].s })
-	}
-	var total, curS, curE int64
-	curS, curE = ivs[0].s, ivs[0].e
-	for _, v := range ivs[1:] {
-		if v.s > curE {
-			total += curE - curS
-			curS, curE = v.s, v.e
-		} else if v.e > curE {
-			curE = v.e
-		}
-	}
-	total += curE - curS
-	return time.Duration(total)
-}
-
-// dominantSize returns the most frequent exact transfer size among the
-// view range's data rows (ties break toward the larger size). Matching
-// rows arrive in equal-size runs (the tracer's transfer loops), so the
-// walk batches each run into one map update — the per-row counts
-// regrouped.
-func dominantSize(v *rowView, lo, hi int, op trace.Op) int64 {
-	counts := map[int64]int64{}
-	for i := lo; i < hi; {
-		if trace.Op(v.op[i]) != op || v.size[i] <= 0 {
-			i++
-			continue
-		}
-		sz := v.size[i]
-		j := i + 1
-		for j < hi && trace.Op(v.op[j]) == op && v.size[j] == sz {
-			j++
-		}
-		counts[sz] += int64(j - i)
-		i = j
-	}
-	var best int64
-	var bestN int64 = -1
-	for sz, n := range counts {
-		if n > bestN || (n == bestN && sz > best) {
-			best, bestN = sz, n
-		}
-	}
-	if bestN <= 0 {
-		return 0
-	}
-	return best
-}
-
-// interfaceName maps the dominant library of a view's rows to the table
-// name. Libraries tally into a fixed array walked in ascending enum
-// order, so a count tie deterministically picks the lower-level library.
-func interfaceName(v *rowView) string {
-	var counts [8]int64
-	for _, lib := range v.lib {
-		if int(lib) < len(counts) {
-			counts[lib]++
-		}
-	}
+// interfaceName maps the dominant library of a row set to the table name.
+// Library counts are walked in ascending enum order, so a count tie
+// deterministically picks the lower-level library.
+func interfaceName(counts *[8]int64) string {
 	best := trace.LibNone
 	var bestN int64 = -1
 	for lib := int(trace.LibNone) + 1; lib < len(counts); lib++ {
@@ -858,103 +746,17 @@ func interfaceName(v *rowView) string {
 	return best.String()
 }
 
-// accessPattern classifies offsets per (file, rank) stream: sequential if
-// at least 80% of consecutive data accesses are non-decreasing in offset.
-// On a segmented view the stream key is constant per segment, so the map
-// round-trips once per segment and the offsets chain through a local —
-// the identical comparison sequence the per-row walk performs (non-data
-// rows leave the chain untouched there too).
-func accessPattern(v *rowView) string {
-	type key struct {
-		f int32
-		r int32
-	}
-	last := map[key]int64{}
-	var seq, total int64
-	if v.segs != nil {
-		for _, s := range v.segs {
-			if s.file < 0 {
-				continue
-			}
-			k := key{s.file, s.rank}
-			prev, ok := last[k]
-			for j := s.lo; j < s.hi; j++ {
-				if !trace.Op(v.op[j]).IsData() {
-					continue
-				}
-				off := v.off[j]
-				if ok {
-					total++
-					if off >= prev {
-						seq++
-					}
-				}
-				prev, ok = off, true
-			}
-			if ok {
-				last[k] = prev
-			}
-		}
-	} else {
-		for i := 0; i < v.n; i++ {
-			if !trace.Op(v.op[i]).IsData() || v.file[i] < 0 {
-				continue
-			}
-			k := key{v.file[i], v.rank[i]}
-			if prev, ok := last[k]; ok {
-				total++
-				if v.off[i] >= prev {
-					seq++
-				}
-			}
-			last[k] = v.off[i]
-		}
-	}
-	if total == 0 || float64(seq)/float64(total) >= 0.8 {
-		return "Seq"
-	}
-	return "Random"
-}
-
 func (a *analysis) apps() []AppEntity {
-	var order []int32
-	if a.grouped {
-		order = make([]int32, 0, len(a.byAppSegs))
-		for app := range a.byAppSegs {
-			order = append(order, app)
-		}
-	} else {
-		order = make([]int32, 0, len(a.byApp))
-		for app := range a.byApp {
-			order = append(order, app)
-		}
+	order := make([]int32, 0, len(a.appTallies))
+	for app := range a.appTallies {
+		order = append(order, app)
 	}
 	sort.Slice(order, func(x, y int) bool { return order[x] < order[y] })
 
 	var out []AppEntity
 	for _, app := range order {
-		var v *rowView
-		if a.grouped {
-			v = a.viewSegs(a.byAppSegs[app], appViewCols)
-		} else {
-			v = a.viewRows(a.byApp[app], appViewCols)
-		}
-		data, meta := opCounts(v, 0, v.n)
-		dPct, mPct := pcts(data, meta)
-		var bytes int64
-		var minS, maxE int64
-		minS = 1<<63 - 1
-		for i := 0; i < v.n; i++ {
-			if trace.Op(v.op[i]).IsData() {
-				bytes += v.size[i]
-			}
-			if v.start[i] < minS {
-				minS = v.start[i]
-			}
-			if v.end[i] > maxE {
-				maxE = v.end[i]
-			}
-		}
+		t := a.appTallies[app]
+		dPct, mPct := pcts(t.data, t.meta)
 		fpp, shared := a.fileSplitForApp(app)
 		out = append(out, AppEntity{
 			Name: a.tr.AppName(app),
@@ -965,11 +767,11 @@ func (a *analysis) apps() []AppEntity {
 			ProcDep:     a.procDep(app),
 			FPPFiles:    fpp,
 			SharedFiles: shared,
-			IOBytes:     bytes,
+			IOBytes:     t.bytes,
 			DataOpsPct:  dPct,
 			MetaOpsPct:  mPct,
-			Interface:   interfaceName(v),
-			Runtime:     time.Duration(maxE - minS),
+			Interface:   interfaceName(&t.libs),
+			Runtime:     time.Duration(t.maxE - t.minS),
 		})
 	}
 	return out
@@ -1063,7 +865,7 @@ func (a *analysis) workflow(apps []AppEntity) WorkflowEntity {
 		DataOpsPct:          dPct,
 		MetaOpsPct:          mPct,
 		CrossNodeRAW:        crossRAW,
-		IOTime:              unionDuration(a.primaryV),
+		IOTime:              a.ioTime,
 		Runtime:             a.runtime,
 	}
 }
@@ -1108,102 +910,14 @@ func (a *analysis) appDeps() []AppDep {
 	return out
 }
 
-// phases splits the primary I/O rows into activity bursts separated by
-// more than the gap threshold, then characterizes each burst (Table V).
-// Primary rows arrive in table order, which the tracer guarantees is
-// (Start, Rank, End)-sorted; the stable sort below is a cheap guard for
-// tables built from unsorted traces and cannot reorder sorted input.
+// phases renders the I/O phases pass 3 split the primary rows into
+// (Table V).
 func (a *analysis) phases() []IOPhaseEntity {
-	v := a.primaryV
-	if v.n == 0 {
-		return nil
+	var out []IOPhaseEntity
+	for i, ph := range a.phaseList {
+		out = append(out, ph.entity(i))
 	}
-	// Detect the sorted common case in one pass; only tables built from
-	// unsorted traces pay the stable sort (as an index permutation over
-	// the gathered view — the same order the row sort produced).
-	sorted := true
-	for i := 1; i < v.n; i++ {
-		if v.start[i] < v.start[i-1] {
-			sorted = false
-			break
-		}
-	}
-	if !sorted {
-		idx := make([]int, v.n)
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.SliceStable(idx, func(x, y int) bool { return v.start[idx[x]] < v.start[idx[y]] })
-		v = permuteView(v, idx)
-	}
-
-	gap := int64(a.opt.PhaseGap)
-	var phases []IOPhaseEntity
-	lo := 0
-	var curEnd int64
-	for i := 0; i < v.n; i++ {
-		if i > lo && v.start[i]-curEnd > gap {
-			phases = append(phases, a.buildPhase(len(phases), v, lo, i))
-			lo = i
-		}
-		if v.end[i] > curEnd {
-			curEnd = v.end[i]
-		}
-	}
-	phases = append(phases, a.buildPhase(len(phases), v, lo, v.n))
-	return phases
-}
-
-func (a *analysis) buildPhase(idx int, v *rowView, lo, hi int) IOPhaseEntity {
-	data, meta := opCounts(v, lo, hi)
-	dPct, mPct := pcts(data, meta)
-	var bytes int64
-	ranks := map[int32]bool{}
-	minS, maxE := v.start[lo], int64(0)
-	for i := lo; i < hi; i++ {
-		if trace.Op(v.op[i]).IsData() {
-			bytes += v.size[i]
-		}
-		// Consecutive rows usually share a rank; the set only needs a map
-		// write when the rank changes.
-		if r := v.rank[i]; i == lo || r != v.rank[i-1] {
-			ranks[r] = true
-		}
-		if v.start[i] < minS {
-			minS = v.start[i]
-		}
-		if v.end[i] > maxE {
-			maxE = v.end[i]
-		}
-	}
-	opsPerRank := float64(hi-lo) / float64(len(ranks))
-	granule := dominantSize(v, lo, hi, trace.OpRead)
-	if g := dominantSize(v, lo, hi, trace.OpWrite); granule == 0 || (g != 0 && data > 0 && g > 0 && countOp(v, lo, hi, trace.OpWrite) > countOp(v, lo, hi, trace.OpRead)) {
-		granule = g
-	}
-	return IOPhaseEntity{
-		Index:      idx,
-		Start:      time.Duration(minS),
-		End:        time.Duration(maxE),
-		IOBytes:    bytes,
-		DataOpsPct: dPct,
-		MetaOpsPct: mPct,
-		OpsPerRank: opsPerRank,
-		Granule:    granule,
-		Frequency:  phaseLabel(opsPerRank, granule),
-		Runtime:    time.Duration(maxE - minS),
-	}
-}
-
-// countOp counts rows of one op over a view range.
-func countOp(v *rowView, lo, hi int, op trace.Op) int64 {
-	var n int64
-	for i := lo; i < hi; i++ {
-		if trace.Op(v.op[i]) == op {
-			n++
-		}
-	}
-	return n
+	return out
 }
 
 // phaseLabel renders the paper's "Frequency" attribute: a handful of ops
@@ -1251,10 +965,10 @@ func (a *analysis) highLevel() HighLevelIOEntity {
 	return HighLevelIOEntity{
 		DataRepr: repr,
 		Granularity: Granularity{
-			Read:  dominantSize(a.primaryV, 0, a.primaryV.n, trace.OpRead),
-			Write: dominantSize(a.primaryV, 0, a.primaryV.n, trace.OpWrite),
+			Read:  a.primSizes[0].dominant(),
+			Write: a.primSizes[1].dominant(),
 		},
-		AccessPattern: accessPattern(a.primaryV),
+		AccessPattern: a.primStreams.pattern(),
 		DataDist:      a.dataDist(),
 	}
 }
@@ -1268,7 +982,7 @@ func (a *analysis) dataDist() stats.DistKind {
 }
 
 func (a *analysis) middleware() MiddlewareIOEntity {
-	// POSIX-visible rows (collected by the fused scan): what reaches
+	// POSIX-visible rows (selected by the fused scan): what reaches
 	// storage after middleware.
 	ranksPerNode := 0
 	if a.tr.Meta.Nodes > 0 {
@@ -1281,11 +995,11 @@ func (a *analysis) middleware() MiddlewareIOEntity {
 	return MiddlewareIOEntity{
 		ExtraIOCoresPerNode: extra,
 		Granularity: Granularity{
-			Read:  dominantSize(a.posixV, 0, a.posixV.n, trace.OpRead),
-			Write: dominantSize(a.posixV, 0, a.posixV.n, trace.OpWrite),
+			Read:  a.posixSizes[0].dominant(),
+			Write: a.posixSizes[1].dominant(),
 		},
 		MemPerNodeGB:  a.tr.Meta.MemPerNodeGB,
-		AccessPattern: accessPattern(a.posixV),
+		AccessPattern: a.posixStreams.pattern(),
 	}
 }
 
@@ -1337,7 +1051,7 @@ func (a *analysis) dataset() DatasetEntity {
 		SizeBytes:    totalSize,
 		NumFiles:     len(a.fileAgg),
 		IOBytes:      io,
-		IOTime:       unionDuration(a.primaryV),
+		IOTime:       a.ioTime,
 		DataOpsPct:   dPct,
 		MetaOpsPct:   mPct,
 		DataFileSize: dataFileSize,

@@ -47,17 +47,12 @@ type pass1g struct {
 }
 
 // pass2g is the dense per-chunk partial of the fused characterization
-// scan: byApp, files, perRank and rankHit replace the fallback's maps,
-// indexed by value+1. The row subsets are emitted as constant-key
-// segments (rowSeg) rather than row lists — the same rows in the same
-// order, carrying the key span's file/rank so the post passes gather and
-// batch on whole runs. Segment lists still concatenate in chunk order
-// and the fileAgg internals are unchanged, so merged results are
+// scan: files, perRank and rankHit replace the fallback's maps, indexed by
+// value+1, and sel is the same per-chunk row selection the fallback emits.
+// The fileAgg internals are unchanged, so merged results are
 // bit-identical.
 type pass2g struct {
-	primary    []rowSeg
-	posix      []rowSeg
-	byApp      [][]rowSeg
+	sel        chunkSel
 	files      []*fileAgg
 	readBytes  int64
 	writeBytes int64
@@ -75,6 +70,7 @@ type pass2g struct {
 // densely unifiable under the caps, in which case the caller runs the
 // map-keyed fallback.
 func (a *analysis) fusedScanGrouped() (bool, error) {
+	t0 := time.Now()
 	appU, err := a.tb.UnifyCodes(colstore.ColApp, maxAppCard)
 	if err != nil || appU == nil {
 		return false, err
@@ -222,6 +218,7 @@ func (a *analysis) fusedScanGrouped() (bool, error) {
 		}
 		a.appRanks[int32(si-1)] = n
 	}
+	a.pass1Time = time.Since(t0)
 
 	// Pass 2: the fused characterization scan over dense accumulators.
 	span := a.runtime
@@ -245,7 +242,7 @@ func (a *analysis) fusedScanGrouped() (bool, error) {
 			return
 		}
 		p := &pass2g{
-			byApp:   make([][]rowSeg, appSlots),
+			sel:     newChunkSel(c.N),
 			files:   make([]*fileAgg, fileSlots),
 			perRank: make([]rankAcc, rankSlots),
 			rankHit: make([]bool, rankSlots),
@@ -265,21 +262,13 @@ func (a *analysis) fusedScanGrouped() (bool, error) {
 		}
 	}
 
-	a.grouped = true
-	a.byAppSegs = map[int32][]rowSeg{}
+	a.sels = make([]chunkSel, nchunks)
 	a.fileAgg = map[int32]*fileAgg{}
 	a.readTL = stats.NewTimeline(span, bins)
 	a.writeTL = stats.NewTimeline(span, bins)
 	a.perRank = map[int32]*rankAcc{}
-	for _, p := range p2 {
-		a.primarySegs = append(a.primarySegs, p.primary...)
-		a.posixSegs = append(a.posixSegs, p.posix...)
-		for si, segs := range p.byApp {
-			if len(segs) > 0 {
-				app := int32(si - 1)
-				a.byAppSegs[app] = append(a.byAppSegs[app], segs...)
-			}
-		}
+	for k, p := range p2 {
+		a.sels[k] = p.sel
 		for si, fa := range p.files {
 			if fa == nil {
 				continue
@@ -318,6 +307,7 @@ func (a *analysis) fusedScanGrouped() (bool, error) {
 			}
 		}
 	}
+	a.pass2Time = time.Since(t0) - a.pass1Time
 	return true, nil
 }
 
@@ -337,7 +327,6 @@ func keySpanPass2(c *colstore.Chunk, spans []colstore.KeySpan, levels []uint16, 
 		}
 		var fa *fileAgg
 		var sawRead, sawWrite bool
-		segs := p.byApp[int(s.App)+1]
 		rslot := int(s.Rank) + 1
 		acc := &p.perRank[rslot]
 		for j := s.Lo; j < s.Hi; {
@@ -350,16 +339,14 @@ func keySpanPass2(c *colstore.Chunk, spans []colstore.KeySpan, levels []uint16, 
 				j = j2
 				continue
 			}
-			seg := rowSeg{lo: c.Base + j, hi: c.Base + j2, file: s.File, rank: s.Rank}
 			if isPosix {
-				p.posix = appendSeg(p.posix, seg)
+				p.sel.addPosix(j, j2)
 			}
 			if !isPrim {
 				j = j2
 				continue
 			}
-			p.primary = appendSeg(p.primary, seg)
-			segs = appendSeg(segs, seg)
+			p.sel.addPrim(c, j, j2)
 			cnt := int64(j2 - j)
 			if op.IsData() {
 				p.data += cnt
@@ -448,7 +435,6 @@ func keySpanPass2(c *colstore.Chunk, spans []colstore.KeySpan, levels []uint16, 
 			}
 			j = j2
 		}
-		p.byApp[int(s.App)+1] = segs
 		if fa != nil {
 			if sawRead {
 				fa.readerRanks[s.Rank] = true
@@ -472,17 +458,13 @@ func rowPass2g(c *colstore.Chunk, levels []uint16, fileSlots int, p *pass2g) {
 		if !op.IsIO() {
 			continue
 		}
-		i := c.Base + j
-		seg := rowSeg{lo: i, hi: i + 1, file: c.File[j], rank: c.Rank[j]}
 		if trace.Level(c.Level[j]) == trace.LevelPosix {
-			p.posix = appendSeg(p.posix, seg)
+			p.sel.addPosix(j, j+1)
 		}
 		if uint16(c.Level[j])+1 != levels[(int(c.App[j])+1)*fileSlots+int(c.File[j])+1] {
 			continue
 		}
-		p.primary = appendSeg(p.primary, seg)
-		asl := int(c.App[j]) + 1
-		p.byApp[asl] = appendSeg(p.byApp[asl], seg)
+		p.sel.addPrim(c, j, j+1)
 		dur := c.End[j] - c.Start[j]
 		if op.IsData() {
 			p.data++

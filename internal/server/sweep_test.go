@@ -116,3 +116,31 @@ func TestSweepEndpointBadDoc(t *testing.T) {
 		t.Errorf("sweep_jobs = %d after bad docs, want 0", got)
 	}
 }
+
+// TestSweepRunErrorFailsJob: an inline workload that parses but fails
+// while it runs ends its sweep job "failed" with the spec's message, and
+// the daemon keeps serving.
+func TestSweepRunErrorFailsJob(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	doc := "version: 1\nname: broken\nbase:\n  nodes: 2\n  scale: 0.01\ngrid:\n  - param: cache\n    values:\n      - true\n" +
+		"workload:\n  version: 1\n  name: bad\n  app: bad\n  run:\n    - close: {}\n"
+	code, st := upload(t, ts, "/v1/sweep", []byte(doc))
+	if code != http.StatusAccepted {
+		t.Fatalf("POST /v1/sweep = %d, want 202", code)
+	}
+	final := pollJob(t, ts, st.ID)
+	if final.Status != "failed" || !strings.Contains(final.Error, "close without an open file") {
+		t.Errorf("job ended %q (%s), want failed with the spec error", final.Status, final.Error)
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("healthz after the failed sweep: status %d", resp.StatusCode)
+	}
+}

@@ -15,6 +15,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -29,7 +30,8 @@ type Engine struct {
 	queue   heapx.Heap[event]
 	yield   chan struct{}
 	running bool
-	live    int // processes spawned and not yet finished
+	live    int   // processes spawned and not yet finished
+	procs   *Proc // the live processes, linked through Proc.prev/next
 	procSeq int
 	err     error
 
@@ -89,6 +91,11 @@ type Proc struct {
 	wake chan struct{}
 	done bool
 
+	// prev/next link the engine's live processes; killed tells a parked
+	// process to unwind when the engine aborts after a recorded failure.
+	prev, next *Proc
+	killed     bool
+
 	// Slept accumulates the total virtual time this process spent blocked in
 	// kernel primitives. Useful for utilization accounting.
 	Slept time.Duration
@@ -111,19 +118,7 @@ func (p *Proc) Now() time.Duration { return p.e.now }
 // time. The process runs when the engine reaches its first event; Spawn may
 // be called before Run or from a running process.
 func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
-	p := &Proc{e: e, id: e.procSeq, name: name, wake: make(chan struct{})}
-	e.procSeq++
-	e.live++
-	e.ProcsSpawned++
-	go func() {
-		<-p.wake // wait for first resume
-		fn(p)
-		p.done = true
-		e.live--
-		e.yield <- struct{}{}
-	}()
-	e.schedule(e.now, p, nil)
-	return p
+	return e.SpawnAt(e.now, name, fn)
 }
 
 // SpawnAt is Spawn with an explicit start time (absolute virtual time, not a
@@ -133,16 +128,40 @@ func (e *Engine) SpawnAt(t time.Duration, name string, fn func(*Proc)) *Proc {
 	e.procSeq++
 	e.live++
 	e.ProcsSpawned++
+	p.next = e.procs
+	if e.procs != nil {
+		e.procs.prev = p
+	}
+	e.procs = p
 	go func() {
-		<-p.wake
-		fn(p)
-		p.done = true
-		e.live--
-		e.yield <- struct{}{}
+		<-p.wake // wait for first resume
+		defer func() {
+			if r := recover(); r != nil && r != errKilled {
+				panic(r)
+			}
+			p.done = true
+			e.live--
+			if p.prev != nil {
+				p.prev.next = p.next
+			} else {
+				e.procs = p.next
+			}
+			if p.next != nil {
+				p.next.prev = p.prev
+			}
+			e.yield <- struct{}{}
+		}()
+		if !p.killed {
+			fn(p)
+		}
 	}()
 	e.schedule(t, p, nil)
 	return p
 }
+
+// errKilled unwinds a process the engine aborts; the process goroutine
+// recovers it.
+var errKilled = errors.New("sim: process killed")
 
 // park blocks the calling process goroutine and returns control to the
 // engine. The process must already have arranged for a future wake-up
@@ -150,6 +169,9 @@ func (e *Engine) SpawnAt(t time.Duration, name string, fn func(*Proc)) *Proc {
 func (p *Proc) park() {
 	p.e.yield <- struct{}{}
 	<-p.wake
+	if p.killed {
+		panic(errKilled)
+	}
 }
 
 // resume hands control to process p and blocks the engine loop until p
@@ -200,7 +222,10 @@ func (e *Engine) WakeNow(p *Proc) { e.wakeAt(e.now, p) }
 
 // Run executes events until the queue is empty, then returns the final
 // virtual time. It panics if processes are still live when the queue drains
-// (a deadlock: some process is parked with no pending wake-up).
+// (a deadlock: some process is parked with no pending wake-up) — unless a
+// failure was recorded with Fail, which is what left them parked (a failed
+// rank never reaches the barrier its peers wait at): then it unwinds the
+// parked processes and returns, and the driver reports Err.
 func (e *Engine) Run() time.Duration {
 	if e.running {
 		panic("sim: Run called re-entrantly")
@@ -221,9 +246,22 @@ func (e *Engine) Run() time.Duration {
 		}
 	}
 	if e.live > 0 {
+		if e.err != nil {
+			e.abort()
+			return e.now
+		}
 		panic(fmt.Sprintf("sim: deadlock: %d process(es) parked with empty event queue", e.live))
 	}
 	return e.now
+}
+
+// abort unwinds every live process: each is resumed with killed set, so
+// its parked call panics errKilled up to its goroutine's recover.
+func (e *Engine) abort() {
+	for e.procs != nil {
+		e.procs.killed = true
+		e.resume(e.procs)
+	}
 }
 
 // RunUntil executes events with timestamps <= deadline and returns the

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -303,5 +304,41 @@ func TestErrNilWithoutFailures(t *testing.T) {
 	e.Run()
 	if e.Err() != nil {
 		t.Errorf("Err = %v, want nil", e.Err())
+	}
+}
+
+// TestFailedRunUnwindsParkedProcesses: when a recorded failure leaves
+// processes parked for good (here at a gate the failed process would have
+// opened), Run returns instead of panicking on the deadlock, and every
+// parked process unwinds — its deferred calls run and its goroutine exits.
+func TestFailedRunUnwindsParkedProcesses(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEngine()
+	g := NewGate(e)
+	errRank := errors.New("rank 0 failed")
+	unwound := 0
+	for i := 0; i < 3; i++ {
+		e.Spawn("waiter", func(p *Proc) {
+			defer func() { unwound++ }()
+			g.Wait(p)
+			t.Error("waiter passed a gate nobody opened")
+		})
+	}
+	e.Spawn("failer", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		e.Fail(errRank)
+	})
+	e.Run()
+	if e.Err() != errRank {
+		t.Errorf("Err = %v, want %v", e.Err(), errRank)
+	}
+	if e.Live() != 0 || unwound != 3 {
+		t.Errorf("live = %d, unwound = %d after the failed run; want 0 and 3", e.Live(), unwound)
+	}
+	for i := 0; i < 200 && runtime.NumGoroutine() > before; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after the failed run, %d before", n, before)
 	}
 }

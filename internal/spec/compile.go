@@ -118,6 +118,7 @@ func (c *compiled) renderPath(t *pathT, lookup func(string) (int64, bool), optim
 // Setup implements workloads.Workload: materializes staged datasets and
 // attaches value-distribution samples, in document order.
 func (c *compiled) Setup(env *workloads.Env) {
+	defer failOnPanic(env.E)
 	params := c.paramsFor(env)
 	for _, st := range c.doc.setup {
 		if st.sample != "" {
@@ -198,6 +199,10 @@ func (c *compiled) setupFiles(env *workloads.Env, st *setupStep, params map[stri
 // Spawn implements workloads.Workload: one proc per rank interpreting the
 // run program.
 func (c *compiled) Spawn(env *workloads.Env) {
+	if env.E.Err() != nil {
+		return // Setup failed; Run reports it
+	}
+	defer failOnPanic(env.E)
 	params := c.paramsFor(env)
 	ranks := env.Job.Ranks()
 	bars := make(map[string]*sim.Barrier, len(c.doc.barriers))
@@ -220,6 +225,7 @@ func (c *compiled) Spawn(env *workloads.Env) {
 			clients: map[string]*iface.Client{c.doc.App: cl},
 		}
 		env.E.Spawn(fmt.Sprintf("%s-rank%d", c.doc.Name, rank), func(p *sim.Proc) {
+			defer failOnPanic(env.E)
 			st.p = p
 			st.exec(c.doc.run, c.doc.App)
 		})
@@ -306,6 +312,21 @@ func (st *rankState) client(app string) *iface.Client {
 
 func (st *rankState) path(t *pathT) string {
 	return st.c.renderPath(t, st.lookup, st.env.Spec.Optimized)
+}
+
+// failOnPanic is the spec's boundary with the engine, deferred by every
+// rank process and by Setup and Spawn: a run-time failure raised as a panic
+// (fail, check, expression evaluation) is recorded with Engine.Fail and
+// ends that process or step, so workloads.Run returns it as an error
+// instead of the program crashing, often from a simulation goroutine.
+func failOnPanic(e *sim.Engine) {
+	if r := recover(); r != nil {
+		err, ok := r.(error)
+		if !ok {
+			err = fmt.Errorf("%v", r)
+		}
+		e.Fail(err)
+	}
 }
 
 func (st *rankState) fail(format string, args ...interface{}) {

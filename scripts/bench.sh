@@ -21,12 +21,14 @@
 #
 # After writing the record, the compressed-domain MB/s figures are compared
 # against the committed BENCH_PR6.json baseline, the grouped-execution
-# figures against BENCH_PR7.json, and the filtered grouped figures against
-# BENCH_PR10.json; a loss of more than 15% on any arm of any bench fails
-# the run. Set BENCH_SKIP_REGRESSION=1 to record anyway.
+# figures against BENCH_PR7.json, the filtered grouped figures against
+# BENCH_PR10.json, and the in-memory analyzer's seq and par ns/op and
+# bytes/op (it reports no MB/s) against BENCH_PR12.json; a loss of more
+# than 15% on any arm of any bench fails the run. Set
+# BENCH_SKIP_REGRESSION=1 to record anyway.
 set -eu
 
-out="${1:-BENCH_PR10.json}"
+out="${1:-BENCH_PR12.json}"
 cd "$(dirname "$0")/.."
 
 ncpu="$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)"
@@ -41,21 +43,21 @@ tmp="$(mktemp)"
 trap 'rm -f "$tmp" "$tmp.cd"' EXIT
 
 go test -run '^$' \
-    -bench 'BenchmarkAnalyzerParallelism|BenchmarkColumnarize|BenchmarkAblation_ColumnarAnalysis|BenchmarkTraceCodec|BenchmarkTraceEncode|BenchmarkTraceDecodeToTable|BenchmarkScanPlanner|BenchmarkCodecMatrix' \
+    -bench 'BenchmarkColumnarize|BenchmarkAblation_ColumnarAnalysis|BenchmarkTraceCodec|BenchmarkTraceEncode|BenchmarkTraceDecodeToTable|BenchmarkScanPlanner|BenchmarkCodecMatrix' \
     -benchmem -benchtime 10x -timeout 30m . | tee "$tmp"
 
-# The compressed-domain and grouped-execution comparisons need more
-# iterations than the suite default (their headlines are allocs/op deltas
-# between two paths, and short runs fold one-time pool warmup into the
-# count) and several counts per arm: the arms run back to back, so a single
-# sample is at the mercy of whatever else the machine schedules during one
-# arm. Publish the fastest sample of each arm — the allocation counts are
-# deterministic and identical across samples.
+# The compressed-domain, grouped-execution and analyzer-parallelism
+# comparisons need more iterations than the suite default (their headlines
+# are allocs/op deltas between two paths, and short runs fold one-time pool
+# warmup into the count) and several counts per arm: the arms run back to
+# back, so a single sample is at the mercy of whatever else the machine
+# schedules during one arm. Publish the fastest sample of each arm — the
+# allocation counts are deterministic and identical across samples.
 go test -run '^$' \
-    -bench 'BenchmarkCompressedDomain|BenchmarkGroupedAgg|BenchmarkGroupedFiltered' \
+    -bench 'BenchmarkCompressedDomain|BenchmarkGroupedAgg|BenchmarkGroupedFiltered|BenchmarkAnalyzerParallelism' \
     -benchmem -benchtime 100x -count 3 -timeout 30m . \
   | tee "$tmp.cd"
-awk '/^BenchmarkCompressedDomain|^BenchmarkGroupedAgg|^BenchmarkGroupedFiltered/ {
+awk '/^BenchmarkCompressedDomain|^BenchmarkGroupedAgg|^BenchmarkGroupedFiltered|^BenchmarkAnalyzerParallelism/ {
        if (!($1 in best) || $3+0 < best[$1]) { best[$1]=$3+0; line[$1]=$0 }
      }
      END { for (k in line) print line[k] }' "$tmp.cd" >> "$tmp"
@@ -75,4 +77,9 @@ fi
 if [ "${BENCH_SKIP_REGRESSION:-0}" != "1" ] && [ -f BENCH_PR10.json ] && [ "$out" != "BENCH_PR10.json" ]; then
     echo "== regression guard: BenchmarkGroupedFiltered vs BENCH_PR10.json =="
     go run ./scripts/benchcmp -prefix BenchmarkGroupedFiltered BENCH_PR10.json "$out"
+fi
+if [ "${BENCH_SKIP_REGRESSION:-0}" != "1" ] && [ -f BENCH_PR12.json ] && [ "$out" != "BENCH_PR12.json" ]; then
+    echo "== regression guard: BenchmarkAnalyzerParallelism ns/op and bytes/op vs BENCH_PR12.json =="
+    go run ./scripts/benchcmp -prefix BenchmarkAnalyzerParallelism -metric ns_per_op BENCH_PR12.json "$out"
+    go run ./scripts/benchcmp -prefix BenchmarkAnalyzerParallelism -metric bytes_per_op BENCH_PR12.json "$out"
 fi
