@@ -825,14 +825,11 @@ func BenchmarkCompressedDomain(b *testing.B) {
 	}
 }
 
-// BenchmarkGroupedAgg measures what grouped execution buys on the analyzer
-// hot path: the same v2.2-encoded cm1 trace, fully characterized with NO
-// filter (aggregation dominates, the shape the fleet-query workload takes),
-// with the grouped kernels engaged — code unifier, dense code-keyed
-// accumulators, key spans with per-row op dispatch — versus forced off
-// (the map-keyed fallback row loops). Both arms produce byte-identical
-// YAML (the codec-matrix equivalence suite pins the grouped-off arm); this
-// measures the throughput and allocation gap between the two paths.
+// BenchmarkGroupedAgg measures the analyzer hot path on aggregation: the
+// v2.2-encoded cm1 trace, fully characterized with NO filter (aggregation
+// dominates, the shape the fleet-query workload takes) through the dense
+// id-keyed accumulators riding key spans with per-row op dispatch. The arm
+// keeps its grouped-on name so its record compares against earlier ones.
 func BenchmarkGroupedAgg(b *testing.B) {
 	_, _ = allRuns(b)
 	res := runRes["cm1"]
@@ -841,52 +838,17 @@ func BenchmarkGroupedAgg(b *testing.B) {
 		b.Fatal(err)
 	}
 	enc := buf.Bytes()
-	defer colstore.SetGroupedKernelsEnabled(true)
-	for _, bench := range []struct {
-		name    string
-		grouped bool
-	}{
-		{"grouped-on", true},
-		{"grouped-off", false},
-	} {
-		b.Run(bench.name, func(b *testing.B) {
-			colstore.SetGroupedKernelsEnabled(bench.grouped)
-			opt := DefaultAnalyzerOptions()
-			var served, fallback int64
-			b.SetBytes(int64(len(enc)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				br, err := trace.NewBlockReader(bytes.NewReader(enc), int64(len(enc)))
-				if err != nil {
-					b.Fatal(err)
-				}
-				var timings AnalyzerTimings
-				opt.Stats = &timings
-				c, err := CharacterizeBlocksContext(context.Background(), br, opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if c == nil {
-					b.Fatal("nil characterization")
-				}
-				served, fallback = timings.Scan.GroupServed, timings.Scan.GroupFallback
-			}
-			b.ReportMetric(float64(served), "groups-served")
-			b.ReportMetric(float64(fallback), "groups-fallback")
-		})
-	}
+	b.Run("grouped-on", func(b *testing.B) {
+		benchCharacterizeBlocks(b, enc, DefaultAnalyzerOptions())
+	})
 }
 
-// BenchmarkGroupedFiltered measures grouped execution under a pushed-down
+// BenchmarkGroupedFiltered measures the same path under a pushed-down
 // filter — the rank+window-restricted characterization every vanid what-if
-// request issues. With grouped kernels on, the surviving chunks are
-// selection-backed: their block run summaries are re-cut against the
-// selection vector, so key spans, the code unifier and the run-aware
-// accumulators all fire and the analyzer materializes only the Op/Size/
-// Start/End columns; off, every filtered chunk takes the map-keyed row
-// loops over the full column set. Both arms produce byte-identical YAML
-// (the filtered codec-matrix suite pins that); this measures the gap.
+// request issues. The surviving chunks are selection-backed: their block
+// run summaries are re-cut against the selection vector, so key spans and
+// the run-aware accumulators fire and the analyzer materializes only the
+// Op/Size/Start/End columns.
 func BenchmarkGroupedFiltered(b *testing.B) {
 	_, _ = allRuns(b)
 	res := runRes["cm1"]
@@ -896,50 +858,49 @@ func BenchmarkGroupedFiltered(b *testing.B) {
 	}
 	enc := buf.Bytes()
 	end := res.Trace.Events[len(res.Trace.Events)-1].Start
-	defer colstore.SetGroupedKernelsEnabled(true)
-	for _, bench := range []struct {
-		name    string
-		grouped bool
-	}{
-		{"grouped-on", true},
-		{"grouped-off", false},
-	} {
-		b.Run(bench.name, func(b *testing.B) {
-			colstore.SetGroupedKernelsEnabled(bench.grouped)
-			opt := DefaultAnalyzerOptions()
-			ranks := make([]int32, 0, 31)
-			for r := int32(0); r < 31; r++ {
-				ranks = append(ranks, r)
-			}
-			// The window bounds every block's start range, so the per-block
-			// reduction proves it containing and the rank set alone drives
-			// the compressed selection; the rank cut is what the arms race on.
-			opt.Filter = trace.Filter{To: end, Ranks: ranks}
-			var served, fallback, filtered int64
-			b.SetBytes(int64(len(enc)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				br, err := trace.NewBlockReader(bytes.NewReader(enc), int64(len(enc)))
-				if err != nil {
-					b.Fatal(err)
-				}
-				var timings AnalyzerTimings
-				opt.Stats = &timings
-				c, err := CharacterizeBlocksContext(context.Background(), br, opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if c == nil {
-					b.Fatal("nil characterization")
-				}
-				served, fallback = timings.Scan.GroupServed, timings.Scan.GroupFallback
-				filtered = timings.Scan.GroupFilteredServed
-			}
-			b.ReportMetric(float64(served), "groups-served")
-			b.ReportMetric(float64(fallback), "groups-fallback")
-			b.ReportMetric(float64(filtered), "filtered-served")
-		})
+	b.Run("grouped-on", func(b *testing.B) {
+		opt := DefaultAnalyzerOptions()
+		ranks := make([]int32, 0, 31)
+		for r := int32(0); r < 31; r++ {
+			ranks = append(ranks, r)
+		}
+		// The window bounds every block's start range, so the per-block
+		// reduction proves it containing and the rank set alone drives
+		// the compressed selection.
+		opt.Filter = trace.Filter{To: end, Ranks: ranks}
+		benchCharacterizeBlocks(b, enc, opt)
+	})
+}
+
+// benchCharacterizeBlocks characterizes the encoded trace b.N times through
+// the planned block path, reporting the key-span served/fallback split and
+// the selection-backed chunks whose re-cut summaries served.
+func benchCharacterizeBlocks(b *testing.B, enc []byte, opt AnalyzerOptions) {
+	var served, fallback, filtered int64
+	b.SetBytes(int64(len(enc)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		br, err := trace.NewBlockReader(bytes.NewReader(enc), int64(len(enc)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		var timings AnalyzerTimings
+		opt.Stats = &timings
+		c, err := CharacterizeBlocksContext(context.Background(), br, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if c == nil {
+			b.Fatal("nil characterization")
+		}
+		served, fallback = timings.Scan.GroupServed, timings.Scan.GroupFallback
+		filtered = timings.Scan.GroupFilteredServed
+	}
+	b.ReportMetric(float64(served), "groups-served")
+	b.ReportMetric(float64(fallback), "groups-fallback")
+	if !opt.Filter.Empty() {
+		b.ReportMetric(float64(filtered), "filtered-served")
 	}
 }
 

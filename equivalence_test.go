@@ -200,23 +200,21 @@ func TestCodecMatrixEquivalence(t *testing.T) {
 		refOpt.Storage = &cfg
 		want := ToYAML(CharacterizeWith(res, refOpt))
 
-		// Three execution arms: everything on, grouped execution forced off
-		// (kernels still on), and all compressed-domain kernels off. The
-		// grouped-off arm pins the dense code-keyed aggregation against the
-		// map-keyed fallback byte-for-byte.
+		// Two execution arms: compressed-domain kernels on (key spans over
+		// run summaries) and off (row iteration over materialized columns).
+		// The dense aggregation itself is pinned by the row-at-a-time
+		// reference in internal/core.
 		modes := []struct {
-			label            string
-			kernels, grouped bool
+			label   string
+			kernels bool
 		}{
-			{"on", true, true},
-			{"grouped-off", true, false},
-			{"kernels-off", false, true},
+			{"on", true},
+			{"kernels-off", false},
 		}
 		check := func(variant, path string) {
 			t.Helper()
 			for _, mode := range modes {
 				colstore.SetKernelsEnabled(mode.kernels)
-				colstore.SetGroupedKernelsEnabled(mode.grouped)
 				for _, par := range pars {
 					opt := DefaultAnalyzerOptions()
 					opt.Storage = &cfg
@@ -232,12 +230,8 @@ func TestCodecMatrixEquivalence(t *testing.T) {
 				}
 			}
 			colstore.SetKernelsEnabled(true)
-			colstore.SetGroupedKernelsEnabled(true)
 		}
-		defer func() {
-			colstore.SetKernelsEnabled(true)
-			colstore.SetGroupedKernelsEnabled(true)
-		}()
+		defer colstore.SetKernelsEnabled(true)
 
 		v1Path := filepath.Join(dir, name+"-v1.trc")
 		f, err := os.Create(v1Path)
@@ -270,12 +264,12 @@ func TestCodecMatrixEquivalence(t *testing.T) {
 }
 
 // TestFilteredCodecMatrixEquivalence extends the codec matrix to filtered
-// scans — the selection-backed grouped path. With a filter pushed down, the
-// surviving chunks are selection-backed and the grouped analyzer runs on
-// run summaries re-cut against the selection vector; the YAML must stay
-// byte-identical to in-memory filtering across codecs, filter shapes
-// (residual window, exact rank selection, op class, and their combination),
-// the three kernel arms, and sequential / fixed / NumCPU parallelism.
+// scans. With a filter pushed down, the surviving chunks are
+// selection-backed and the analyzer's key spans run on run summaries
+// re-cut against the selection vector; the YAML must stay byte-identical
+// to in-memory filtering across codecs, filter shapes (residual window,
+// exact rank selection, op class, and their combination), kernels on and
+// off, and sequential / fixed / NumCPU parallelism.
 func TestFilteredCodecMatrixEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	w, err := New("hacc")
@@ -301,12 +295,11 @@ func TestFilteredCodecMatrixEquivalence(t *testing.T) {
 		"v22for":  {Codec: trace.CodecForceFOR},
 	}
 	modes := []struct {
-		label            string
-		kernels, grouped bool
+		label   string
+		kernels bool
 	}{
-		{"on", true, true},
-		{"grouped-off", true, false},
-		{"kernels-off", false, true},
+		{"on", true},
+		{"kernels-off", false},
 	}
 	pars := []int{1, 4, runtime.NumCPU()}
 	cfg := res.Spec.Storage
@@ -325,10 +318,7 @@ func TestFilteredCodecMatrixEquivalence(t *testing.T) {
 		}
 		paths[variant] = path
 	}
-	defer func() {
-		colstore.SetKernelsEnabled(true)
-		colstore.SetGroupedKernelsEnabled(true)
-	}()
+	defer colstore.SetKernelsEnabled(true)
 	for fname, filter := range filters {
 		refOpt := DefaultAnalyzerOptions()
 		refOpt.Storage = &cfg
@@ -337,7 +327,6 @@ func TestFilteredCodecMatrixEquivalence(t *testing.T) {
 		for variant, path := range paths {
 			for _, mode := range modes {
 				colstore.SetKernelsEnabled(mode.kernels)
-				colstore.SetGroupedKernelsEnabled(mode.grouped)
 				for _, par := range pars {
 					opt := DefaultAnalyzerOptions()
 					opt.Storage = &cfg
@@ -354,7 +343,6 @@ func TestFilteredCodecMatrixEquivalence(t *testing.T) {
 				}
 			}
 			colstore.SetKernelsEnabled(true)
-			colstore.SetGroupedKernelsEnabled(true)
 		}
 	}
 }

@@ -1,10 +1,9 @@
 package colstore
 
-// Selection-backed grouped execution: filtered chunks carry their block
-// run summaries re-cut against the selection vector, so key spans, the
-// code unifier and the dense grouped aggregations fire on filtered scans
-// exactly as they do on whole blocks — with results identical to the
-// materialized columns, and the filtered-capture and fallback counters
+// Selection-backed key spans: filtered chunks carry their block run
+// summaries re-cut against the selection vector, so key spans serve
+// filtered scans exactly as they do whole blocks — with keys identical to
+// the materialized columns, and the filtered-capture and fallback counters
 // moving by exact amounts.
 
 import (
@@ -48,8 +47,7 @@ func assertKeySpansMatchColumns(t *testing.T, tb *Table) {
 // TestSelectionBackedKeySpans: a single-dimension rank filter leaves every
 // chunk selection-backed; the re-cut run summaries must serve key spans
 // that match the materialized filtered columns, across codecs, with the
-// filtered-capture counter moving once per chunk and the grouped
-// aggregations equal to dense references over the filtered rows.
+// filtered-capture counter moving once per chunk.
 func TestSelectionBackedKeySpans(t *testing.T) {
 	tr := groupTrace(3)
 	f := trace.Filter{Ranks: []int32{1, 3, 5}}
@@ -71,40 +69,7 @@ func TestSelectionBackedKeySpans(t *testing.T) {
 			t.Errorf("codec %v: filtered run capture fell back on %d chunks, want 0",
 				codec, sc.GroupFilteredFallback)
 		}
-		u, err := tb.UnifyCodes(ColFile, 1<<17)
-		if err != nil {
-			t.Fatalf("codec %v UnifyCodes: %v", codec, err)
-		}
-		if u == nil {
-			t.Fatalf("codec %v: filtered file column not unifiable from re-cut summaries", codec)
-		}
-		if u.ServedChunks() != tb.NumChunks() {
-			t.Errorf("codec %v: unifier served %d/%d filtered chunks without decoding",
-				codec, u.ServedChunks(), tb.NumChunks())
-		}
-		slots := int(u.Card()) + 1
-		hist, err := tb.GroupValueHist(2, ColFile, u)
-		if err != nil {
-			t.Fatalf("codec %v GroupValueHist: %v", codec, err)
-		}
-		sums, err := tb.GroupSumSize(2, ColFile, u)
-		if err != nil {
-			t.Fatalf("codec %v GroupSumSize: %v", codec, err)
-		}
-		cnts, err := tb.GroupCountEq(2, ColFile, u, ColRank, 3)
-		if err != nil {
-			t.Fatalf("codec %v GroupCountEq: %v", codec, err)
-		}
 		assertKeySpansMatchColumns(t, tb)
-		if want := refGroupHist(tb, ColFile, slots); !int64sEqual(hist, want) {
-			t.Errorf("codec %v: GroupValueHist = %v, want %v", codec, hist, want)
-		}
-		if want := refGroupSum(tb, ColFile, slots); !int64sEqual(sums, want) {
-			t.Errorf("codec %v: GroupSumSize = %v, want %v", codec, sums, want)
-		}
-		if want := refGroupCountEq(tb, ColFile, slots, ColRank, 3); !int64sEqual(cnts, want) {
-			t.Errorf("codec %v: GroupCountEq = %v, want %v", codec, cnts, want)
-		}
 	}
 }
 
@@ -196,68 +161,39 @@ func TestCompressedSelMultiSpansMatchSel(t *testing.T) {
 	}
 }
 
-// TestGroupFallbackOncePerChunk pins the fallback accounting of a refused
-// unification: exactly one KGroupAgg fallback tick for the refusing chunk
-// — not one per key column — whether the refusal is an over-cap value on
-// a served chunk or a selection-backed chunk with no re-cut summary.
+// TestGroupFallbackOncePerChunk pins the key-span fallback accounting the
+// GroupServed/GroupFallback counters report: a selection-backed chunk with
+// no re-cut summary answers each key-span request with exactly one
+// fallback tick and no served tick.
 func TestGroupFallbackOncePerChunk(t *testing.T) {
-	defer SetGroupedKernelsEnabled(true)
+	defer SetKernelsEnabled(true)
 	tr := groupTrace(3)
 	f := trace.Filter{Ranks: []int32{1, 3, 5}}
 	br := blockReaderFor(t, tr, trace.V2Options{Codec: trace.CodecForceRLE})
 
-	t.Run("over-cap", func(t *testing.T) {
-		var stats ScanStats
-		tb, err := FromBlocksSpec(br, 2, ScanSpec{Filter: f}, &stats)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base := stats.Snapshot()
-		// Chunk 0 holds file ids {-1, 0, 1} and unifies under the cap;
-		// chunk 1 reaches id 2 and refuses. Exactly one served tick and
-		// one fallback tick must land, then the unifier gives up.
-		u, err := tb.UnifyCodes(ColFile, 2)
-		if err != nil {
-			t.Fatalf("UnifyCodes: %v", err)
-		}
-		if u != nil {
-			t.Fatal("UnifyCodes accepted file ids beyond the cap")
-		}
-		sc := stats.Snapshot()
-		if d := sc.KernelFallback[KGroupAgg] - base.KernelFallback[KGroupAgg]; d != 1 {
-			t.Errorf("refused chunk ticked %d KGroupAgg fallbacks, want exactly 1", d)
-		}
-		if d := sc.KernelServed[KGroupAgg] - base.KernelServed[KGroupAgg]; d != 1 {
-			t.Errorf("unification before the refusal ticked %d served, want exactly 1", d)
-		}
-	})
-
 	t.Run("no-summary", func(t *testing.T) {
-		// Scanning with grouped kernels off skips the selection re-cut, so
-		// the filtered chunks carry no summaries; flipping grouped back on,
-		// the first chunk refuses (it would need a decode) with exactly one
-		// fallback tick.
-		SetGroupedKernelsEnabled(false)
+		// Scanning with kernels off skips the selection re-cut, so the
+		// filtered chunks carry no summaries; with kernels back on, every
+		// chunk's key-span request falls back.
+		SetKernelsEnabled(false)
 		var stats ScanStats
 		tb, err := FromBlocksSpec(br, 2, ScanSpec{Filter: f}, &stats)
 		if err != nil {
 			t.Fatal(err)
 		}
-		SetGroupedKernelsEnabled(true)
+		SetKernelsEnabled(true)
 		base := stats.Snapshot()
-		u, err := tb.UnifyCodes(ColFile, 1<<17)
-		if err != nil {
-			t.Fatalf("UnifyCodes: %v", err)
-		}
-		if u != nil {
-			t.Fatal("UnifyCodes unified a filtered column with no summaries and no materialization")
+		for k := 0; k < tb.NumChunks(); k++ {
+			if _, ok := tb.ChunkKeySpans(k, nil); ok {
+				t.Fatalf("chunk %d: key spans served without a re-cut summary", k)
+			}
 		}
 		sc := stats.Snapshot()
-		if d := sc.KernelFallback[KGroupAgg] - base.KernelFallback[KGroupAgg]; d != 1 {
-			t.Errorf("refused chunk ticked %d KGroupAgg fallbacks, want exactly 1", d)
+		if d := sc.GroupFallback - base.GroupFallback; d != int64(tb.NumChunks()) {
+			t.Errorf("%d chunks ticked %d key-span fallbacks, want one each", tb.NumChunks(), d)
 		}
-		if d := sc.KernelServed[KGroupAgg] - base.KernelServed[KGroupAgg]; d != 0 {
-			t.Errorf("refusal path ticked %d served, want 0", d)
+		if d := sc.GroupServed - base.GroupServed; d != 0 {
+			t.Errorf("fallback path ticked %d served, want 0", d)
 		}
 	})
 }

@@ -5,7 +5,7 @@ package colstore
 // codec): a registry entry means the operation can be answered straight
 // from the encoded segment — predicate evaluation on dictionary codes or
 // RLE runs, group-by and counting on run summaries, min/max from FOR
-// headers, span-fused scans over merged run structure — and a miss falls
+// headers, key-span scans over merged run structure — and a miss falls
 // back to materializing the column and iterating rows. Both paths produce
 // byte-identical results (the equivalence suite runs the full codec matrix
 // with kernels force-disabled); per-kernel served/fallback counters in
@@ -48,17 +48,10 @@ const (
 	// KMinMax answers column min/max from FOR segment headers without
 	// unpacking the segment.
 	KMinMax
-	// KSpanScan fuses the six run-summarized columns into constant-key spans
-	// so analyzer passes hoist per-row map lookups out to span boundaries.
-	KSpanScan
-	// KKeySpan fuses the five STABLE key columns (level, rank, node, app,
-	// file) into spans, dispatching per-row on op only — the grouped span
-	// kernel that fires on real traces where op alternates every event.
+	// KKeySpan fuses the five stable key columns (level, rank, node, app,
+	// file) into spans, dispatching per row on op — the span kernel the
+	// analyzer's passes 1 and 2 request for every chunk.
 	KKeySpan
-	// KGroupAgg is grouped aggregation on dictionary codes: the code
-	// unifier built from dict segment headers plus the dense grouped
-	// kernels (GroupValueHist, GroupSumSize, GroupCountEq).
-	KGroupAgg
 	// KTimelineAdd is run-aware timeline accumulation: spans of rows bucket
 	// into stats.Timeline bins in O(bins-crossed) instead of O(rows), by
 	// segmenting the span's time-sorted rows at bin boundaries.
@@ -71,8 +64,8 @@ const (
 )
 
 var kernelOpNames = [NumKernelOps]string{
-	"predicate", "counteq", "sumeq", "hist", "groupby", "minmax", "spanscan",
-	"keyspan", "groupagg", "tladd", "histadd",
+	"predicate", "counteq", "sumeq", "hist", "groupby", "minmax", "keyspan",
+	"tladd", "histadd",
 }
 
 // String returns the kernel operation's short name.
@@ -107,16 +100,14 @@ func init() {
 		registerKernel(KSumEq, codec)
 		registerKernel(KHist, codec)
 		registerKernel(KGroupBy, codec)
-		registerKernel(KSpanScan, codec)
 		registerKernel(KKeySpan, codec)
-		registerKernel(KGroupAgg, codec)
 	}
 	// FOR segments coalesce into value runs too (SegCursor.AppendRuns
 	// unpacks base+offset adjacency), so they serve the run- and
 	// code-domain kernels — all but KPredicate, whose selection paths
 	// dispatch on dict/RLE structure directly (Runs/ForEachCode) and
 	// never consult a captured run summary.
-	for _, op := range []KernelOp{KCountEq, KSumEq, KHist, KGroupBy, KSpanScan, KKeySpan, KGroupAgg} {
+	for _, op := range []KernelOp{KCountEq, KSumEq, KHist, KGroupBy, KKeySpan} {
 		registerKernel(op, trace.SegCodecFOR)
 	}
 	// The run-aware distribution accumulators batch over any span structure
@@ -177,52 +168,58 @@ func (c *Chunk) runUsable(op KernelOp, ri int) bool {
 	return len(runs) == 1 && int(runs[0].N) == c.N
 }
 
-// Span is a maximal run of chunk rows over which every span column —
-// level, op, rank, node, app and file — is constant. Lo is inclusive, Hi
+// keyRunCols are the run columns a key span holds constant: the four
+// groupable key columns plus level. Op is deliberately absent — it
+// alternates nearly every event in real traces, so spans that also held op
+// constant would almost never form.
+var keyRunCols = [...]int{int(ColRank), int(ColNode), int(ColApp), int(ColFile), runLevel}
+
+// KeySpan is a maximal run of chunk rows over which the five stable key
+// columns — level, rank, node, app, file — are constant. Op varies within
+// the span and is dispatched per row by the caller. Lo is inclusive, Hi
 // exclusive, both chunk-relative.
-type Span struct {
+type KeySpan struct {
 	Lo, Hi     int
-	Level, Op  uint8
+	Level      uint8
 	Rank, Node int32
 	App, File  int32
 }
 
-// spans merges the chunk's six run summaries into constant-key spans,
-// appending to dst. It reports false (serving nothing) unless every span
-// column carries a registry-served run summary.
-func (c *Chunk) spans(dst []Span) ([]Span, bool) {
-	for ri := 0; ri < numRunCols; ri++ {
-		if !c.runUsable(KSpanScan, ri) {
+// keySpans merges the chunk's five stable-key run summaries into key
+// spans, appending to dst. It reports false (serving nothing) unless every
+// key column carries a registry-served run summary.
+func (c *Chunk) keySpans(dst []KeySpan) ([]KeySpan, bool) {
+	for _, ri := range keyRunCols {
+		if !c.runUsable(KKeySpan, ri) {
 			return dst, false
 		}
 	}
-	var idx, rem [numRunCols]int
-	for ri := range rem {
-		rem[ri] = int(c.runs[ri][0].N)
+	var idx, rem [len(keyRunCols)]int
+	for i, ri := range keyRunCols {
+		rem[i] = int(c.runs[ri][0].N)
 	}
 	row := 0
 	for row < c.N {
 		n := rem[0]
-		for ri := 1; ri < numRunCols; ri++ {
-			if rem[ri] < n {
-				n = rem[ri]
+		for i := 1; i < len(keyRunCols); i++ {
+			if rem[i] < n {
+				n = rem[i]
 			}
 		}
-		dst = append(dst, Span{
+		dst = append(dst, KeySpan{
 			Lo:    row,
 			Hi:    row + n,
-			Level: uint8(c.runs[runLevel][idx[runLevel]].Val),
-			Op:    uint8(c.runs[runOp][idx[runOp]].Val),
-			Rank:  int32(c.runs[ColRank][idx[ColRank]].Val),
-			Node:  int32(c.runs[ColNode][idx[ColNode]].Val),
-			App:   int32(c.runs[ColApp][idx[ColApp]].Val),
-			File:  int32(c.runs[ColFile][idx[ColFile]].Val),
+			Rank:  int32(c.runs[ColRank][idx[0]].Val),
+			Node:  int32(c.runs[ColNode][idx[1]].Val),
+			App:   int32(c.runs[ColApp][idx[2]].Val),
+			File:  int32(c.runs[ColFile][idx[3]].Val),
+			Level: uint8(c.runs[runLevel][idx[4]].Val),
 		})
 		row += n
-		for ri := 0; ri < numRunCols; ri++ {
-			if rem[ri] -= n; rem[ri] == 0 {
-				if idx[ri]++; idx[ri] < len(c.runs[ri]) {
-					rem[ri] = int(c.runs[ri][idx[ri]].N)
+		for i, ri := range keyRunCols {
+			if rem[i] -= n; rem[i] == 0 {
+				if idx[i]++; idx[i] < len(c.runs[ri]) {
+					rem[i] = int(c.runs[ri][idx[i]].N)
 				} else if row < c.N {
 					return dst, false // summaries must tile the chunk exactly
 				}
@@ -232,17 +229,17 @@ func (c *Chunk) spans(dst []Span) ([]Span, bool) {
 	return dst, true
 }
 
-// ChunkSpans is the analyzer's span-scan kernel request for chunk k: the
-// chunk's constant-key spans appended to dst, or ok == false when any span
+// ChunkKeySpans is the analyzer's span-scan kernel request for chunk k:
+// the chunk's stable-key spans appended to dst, or ok == false when any key
 // column lacks a served run summary (the caller iterates rows instead).
 // Either way the request is counted in the scan stats.
-func (t *Table) ChunkSpans(k int, dst []Span) ([]Span, bool) {
+func (t *Table) ChunkKeySpans(k int, dst []KeySpan) ([]KeySpan, bool) {
 	if !KernelsEnabled() {
-		t.tickKernel(KSpanScan, false)
+		t.tickKernel(KKeySpan, false)
 		return dst, false
 	}
-	dst, ok := t.chunks[k].spans(dst)
-	t.tickKernel(KSpanScan, ok)
+	dst, ok := t.chunks[k].keySpans(dst)
+	t.tickKernel(KKeySpan, ok)
 	return dst, ok
 }
 

@@ -38,7 +38,7 @@ func mixedTrace(n int) *trace.Trace {
 // (which dispatch on dict/RLE structure directly) and min/max, raw serves
 // nothing.
 func TestKernelRegistryCaps(t *testing.T) {
-	for _, op := range []KernelOp{KPredicate, KCountEq, KSumEq, KHist, KGroupBy, KSpanScan} {
+	for _, op := range []KernelOp{KPredicate, KCountEq, KSumEq, KHist, KGroupBy, KKeySpan} {
 		for _, codec := range []uint8{trace.SegCodecRLE, trace.SegCodecDict} {
 			if !KernelServes(op, codec) {
 				t.Errorf("KernelServes(%v, codec %d) = false, want true", op, codec)
@@ -53,13 +53,6 @@ func TestKernelRegistryCaps(t *testing.T) {
 			}
 		} else if !KernelServes(op, trace.SegCodecFOR) {
 			t.Errorf("KernelServes(%v, FOR) = false, want true", op)
-		}
-	}
-	for _, op := range []KernelOp{KKeySpan, KGroupAgg} {
-		for _, codec := range []uint8{trace.SegCodecRLE, trace.SegCodecDict, trace.SegCodecFOR} {
-			if !KernelServes(op, codec) {
-				t.Errorf("KernelServes(%v, codec %d) = false, want true", op, codec)
-			}
 		}
 	}
 	if !KernelServes(KMinMax, trace.SegCodecFOR) {
@@ -124,9 +117,10 @@ func TestCompressedPredicateMatchesFallback(t *testing.T) {
 	}
 }
 
-// TestChunkSpansTileAndMatch: the span-scan kernel's spans tile each chunk
-// exactly and carry the same keys the materialized columns hold row by row.
-func TestChunkSpansTileAndMatch(t *testing.T) {
+// TestChunkKeySpansTileAndMatch: the key-span kernel's spans tile each
+// chunk exactly and carry the same keys the materialized columns hold row
+// by row.
+func TestChunkKeySpansTileAndMatch(t *testing.T) {
 	tr := mixedTrace(ChunkRows + 700)
 	br := blockReaderFor(t, tr, trace.V2Options{Codec: trace.CodecAuto})
 	var stats ScanStats
@@ -134,39 +128,10 @@ func TestChunkSpansTileAndMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	anyServed := false
-	for k := 0; k < tb.NumChunks(); k++ {
-		spans, ok := tb.ChunkSpans(k, nil)
-		c := tb.ChunkAt(k)
-		if !ok {
-			continue
-		}
-		anyServed = true
-		if err := c.Require(trace.AllCols); err != nil {
-			t.Fatal(err)
-		}
-		row := 0
-		for _, s := range spans {
-			if s.Lo != row || s.Hi <= s.Lo {
-				t.Fatalf("chunk %d: span [%d,%d) does not tile at row %d", k, s.Lo, s.Hi, row)
-			}
-			for j := s.Lo; j < s.Hi; j++ {
-				if c.Level[j] != s.Level || c.Op[j] != s.Op || c.Rank[j] != s.Rank ||
-					c.Node[j] != s.Node || c.App[j] != s.App || c.File[j] != s.File {
-					t.Fatalf("chunk %d row %d: span keys differ from materialized columns", k, j)
-				}
-			}
-			row = s.Hi
-		}
-		if row != c.N {
-			t.Fatalf("chunk %d: spans cover %d of %d rows", k, row, c.N)
-		}
-	}
-	if !anyServed {
-		t.Fatal("span kernel served no chunk on a run-structured v2.2 log")
-	}
-	if stats.KernelServed[KSpanScan].Load() == 0 {
-		t.Error("span-scan served counter did not tick")
+	assertKeySpansMatchColumns(t, tb)
+	if stats.KernelServed[KKeySpan].Load() != int64(tb.NumChunks()) {
+		t.Errorf("key-span served counter ticked %d times over %d chunks",
+			stats.KernelServed[KKeySpan].Load(), tb.NumChunks())
 	}
 }
 

@@ -21,11 +21,10 @@ import (
 const numKeyCols = 4
 
 // Run-summary column indices. The first numKeyCols entries are the
-// groupable key columns, indexed by Col; level and op follow so span-fused
-// kernels can hoist per-row dispatch out to span boundaries.
+// groupable key columns, indexed by Col; level follows so key spans can
+// hoist the primary-level check out to span boundaries.
 const (
 	runLevel = numKeyCols + iota
-	runOp
 	numRunCols
 )
 
@@ -46,11 +45,8 @@ func (col Col) traceCol() trace.ColSet {
 
 // runColSet returns the trace-layer column set bit for a run column index.
 func runColSet(ri int) trace.ColSet {
-	switch ri {
-	case runLevel:
+	if ri == runLevel {
 		return trace.ColLevel
-	case runOp:
-		return trace.ColOp
 	}
 	return Col(ri).traceCol()
 }
@@ -59,7 +55,7 @@ func runColSet(ri int) trace.ColSet {
 // validation (or integer conversion) would disagree with the stored value.
 func runBounds(ri int) (lo, hi int64) {
 	switch ri {
-	case runLevel, runOp:
+	case runLevel:
 		return 0, math.MaxUint8 // decode truncates with uint8(v)
 	case int(ColRank), int(ColNode):
 		return 0, math.MaxInt32 // decode rejects out-of-range values
@@ -115,8 +111,7 @@ func (c *Chunk) captureRuns(bd *trace.BlockData) {
 // rows in kept order. The same decode-validation bounds and density cap
 // apply, with the cap measured against the kept row count. It reports
 // whether every stable key column ended up with a summary — the condition
-// for key spans (and so the grouped analyzer passes) to fire on this
-// filtered chunk.
+// for key spans to serve the analyzer's passes on this filtered chunk.
 func (c *Chunk) captureRunsSel(bd *trace.BlockData, spans []trace.SelSpan) bool {
 	maxRuns := c.N / 4 // the density cap, pushed down into the cut
 	if maxRuns == 0 {

@@ -66,9 +66,9 @@ type ScanStats struct {
 
 	// GroupFilteredServed and GroupFilteredFallback count selection-backed
 	// chunks whose re-cut run summaries covered every stable key column —
-	// grouped execution fires on the filtered chunk — vs filtered chunks
-	// whose re-cut came up short (density cap, structureless segments) and
-	// stay on the row path.
+	// key spans serve the filtered chunk — vs filtered chunks whose re-cut
+	// came up short (density cap, structureless segments) and stay on the
+	// row path.
 	GroupFilteredServed   atomic.Int64
 	GroupFilteredFallback atomic.Int64
 }
@@ -108,8 +108,9 @@ type ScanCounters struct {
 	KernelsServed   int64
 	KernelsFallback int64
 
-	// Grouped-execution split: requests the key-span and group-aggregation
-	// kernels answered from encoded segments vs the map-keyed fallback.
+	// Key-span split: the analyzer's per-chunk key-span requests
+	// (KernelServed/Fallback for KKeySpan) served from run summaries vs
+	// answered by row iteration.
 	GroupServed   int64
 	GroupFallback int64
 
@@ -118,8 +119,8 @@ type ScanCounters struct {
 	RunIsectServed   int64
 	RunIsectFallback int64
 
-	// Selection-backed chunks where re-cut run summaries let grouped
-	// execution fire vs filtered chunks left on the row path.
+	// Selection-backed chunks where re-cut run summaries let key spans
+	// serve vs filtered chunks left on the row path.
 	GroupFilteredServed   int64
 	GroupFilteredFallback int64
 
@@ -151,8 +152,8 @@ func (s *ScanStats) Snapshot() ScanCounters {
 		c.KernelsServed += c.KernelServed[op]
 		c.KernelsFallback += c.KernelFallback[op]
 	}
-	c.GroupServed = c.KernelServed[KKeySpan] + c.KernelServed[KGroupAgg]
-	c.GroupFallback = c.KernelFallback[KKeySpan] + c.KernelFallback[KGroupAgg]
+	c.GroupServed = c.KernelServed[KKeySpan]
+	c.GroupFallback = c.KernelFallback[KKeySpan]
 	c.RunIsectServed = s.RunIsectServed.Load()
 	c.RunIsectFallback = s.RunIsectFallback.Load()
 	c.GroupFilteredServed = s.GroupFilteredServed.Load()
@@ -499,12 +500,12 @@ func FromBlocksSpecContext(ctx context.Context, src trace.BlockSource, par int, 
 		}
 		if sel == nil {
 			ck.captureRuns(bd)
-		} else if GroupedKernelsEnabled() {
+		} else if KernelsEnabled() {
 			// Selection-backed chunk: re-cut the block's value runs against
-			// the selection's spans so grouped execution fires on filtered
-			// chunks too. Selections not born run-structured (residual row
-			// predicates, keep bitmaps) coalesce here — they are still runs
-			// of kept rows, just spelled out one index at a time.
+			// the selection's spans so key spans serve filtered chunks too.
+			// Selections not born run-structured (residual row predicates,
+			// keep bitmaps) coalesce here — they are still runs of kept
+			// rows, just spelled out one index at a time.
 			if selSpans == nil {
 				selSpans = trace.AppendSelSpans(sel, nil)
 			}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"vani/internal/colstore"
-	"vani/internal/parallel"
 	"vani/internal/stats"
 	"vani/internal/storage"
 	"vani/internal/trace"
@@ -94,31 +93,20 @@ func (opt *Options) fill() {
 
 // Analyze builds the full characterization from an in-memory trace. A
 // non-empty opt.Filter is applied to the event log before columnarizing —
-// the reference semantics every pushed-down scan must reproduce.
+// the reference semantics every pushed-down scan must reproduce. It returns
+// nil when the trace cannot be characterized: an event names an app, file
+// or rank its header does not declare, or the header declares more than
+// the analyzer's dense accumulators admit (AnalyzeContext returns the
+// error).
 func Analyze(tr *trace.Trace, opt Options) *Characterization {
-	opt.fill()
-	evs := tr.Events
-	if !opt.Filter.Empty() {
-		evs = trace.FilterEvents(evs, opt.Filter)
-		if opt.Stats != nil {
-			opt.Stats.Scan.RowsTotal = int64(len(tr.Events))
-			opt.Stats.Scan.RowsKept = int64(len(evs))
-		}
-	}
-	t0 := time.Now()
-	tb := colstore.FromEvents(evs, opt.Parallelism)
-	if opt.Stats != nil {
-		opt.Stats.Columnarize = time.Since(t0)
-	}
-	// An eagerly built table has every column materialized, so analysis
-	// cannot hit a decode error.
-	c, _ := AnalyzeTable(tr, tb, opt)
+	c, _ := AnalyzeContext(context.Background(), tr, opt)
 	return c
 }
 
 // AnalyzeContext is Analyze with cancellation: the chunk-parallel scan
 // workers observe ctx, so a canceled or timed-out caller aborts mid-scan.
-// With a background context it never fails and matches Analyze exactly.
+// Besides ctx.Err(), it fails only with the errors AnalyzeTableContext
+// documents for the trace's ids.
 func AnalyzeContext(ctx context.Context, tr *trace.Trace, opt Options) (*Characterization, error) {
 	opt.fill()
 	evs := tr.Events
@@ -151,7 +139,10 @@ func AnalyzeTable(hdr *trace.Trace, tb *colstore.Table, opt Options) (*Character
 // AnalyzeTableContext is AnalyzeTable with cancellation: the chunk-parallel
 // scan workers observe ctx per chunk, so a canceled or timed-out caller
 // aborts the analysis mid-scan. The returned error is ctx.Err() when the
-// abort was a cancellation.
+// abort was a cancellation. A table row naming an app, file or rank outside
+// the header's Apps, Files and Meta.Ranks, or a header declaring more than
+// the dense accumulators admit, fails with an error wrapping
+// trace.ErrBadFormat.
 func AnalyzeTableContext(ctx context.Context, hdr *trace.Trace, tb *colstore.Table, opt Options) (*Characterization, error) {
 	opt.fill()
 	t0 := time.Now()
@@ -175,21 +166,14 @@ type analysis struct {
 	opt Options
 	par int
 
-	// Filled by the fused scan (passes 1 and 2).
-	runtime    time.Duration
-	gpuUsed    bool
-	appRanks   map[int32]int // ranks that emitted any event, per app
-	sels       []chunkSel    // per-chunk primary and POSIX row selections
-	fileAgg    map[int32]*fileAgg
-	readBytes  int64
-	writeBytes int64
-	primData   int64
-	primMeta   int64
-	readHist   stats.SizeHistogram
-	writeHist  stats.SizeHistogram
-	readTL     *stats.Timeline
-	writeTL    *stats.Timeline
-	perRank    map[int32]*rankAcc
+	// Filled by the fused scan (passes 1 and 2, dense.go).
+	dims dims
+	pass2
+	runtime  time.Duration
+	gpuUsed  bool
+	appRanks []int      // by app id: ranks that emitted any event
+	touched  []*fileAgg // files with primary I/O, id ascending
+	sels     []chunkSel // per-chunk primary and POSIX row selections
 
 	// Filled by pass 3 (post.go).
 	ioTime       time.Duration
@@ -198,20 +182,20 @@ type analysis struct {
 	posixSizes   [2]sizeCounts
 	primStreams  streams
 	posixStreams streams
-	appTallies   map[int32]*appTally
+	appTallies   []*appTally // by app id; nil = no primary I/O
 
 	pass1Time, pass2Time time.Duration
 }
 
 type fileAgg struct {
 	id           int32
-	ranks        map[int32]bool
-	writerRanks  map[int32]bool
-	readerRanks  map[int32]bool
-	writerNodes  map[int32]bool
-	readerNodes  map[int32]bool
-	writerApps   map[int32]bool
-	readerApps   map[int32]bool
+	ranks        idSet
+	writerRanks  idSet
+	readerRanks  idSet
+	writerNodes  idSet
+	readerNodes  idSet
+	writerApps   idSet
+	readerApps   idSet
 	bytesRead    int64
 	bytesWritten int64
 	opens        int64
@@ -220,33 +204,16 @@ type fileAgg struct {
 	ioDur        time.Duration
 }
 
-func newFileAgg(id int32) *fileAgg {
-	return &fileAgg{
-		id:          id,
-		ranks:       map[int32]bool{},
-		writerRanks: map[int32]bool{},
-		readerRanks: map[int32]bool{},
-		writerNodes: map[int32]bool{},
-		readerNodes: map[int32]bool{},
-		writerApps:  map[int32]bool{},
-		readerApps:  map[int32]bool{},
-	}
-}
-
-func mergeSet(dst, src map[int32]bool) {
-	for k := range src {
-		dst[k] = true
-	}
-}
+func newFileAgg(id int32) *fileAgg { return &fileAgg{id: id} }
 
 func (fa *fileAgg) merge(o *fileAgg) {
-	mergeSet(fa.ranks, o.ranks)
-	mergeSet(fa.writerRanks, o.writerRanks)
-	mergeSet(fa.readerRanks, o.readerRanks)
-	mergeSet(fa.writerNodes, o.writerNodes)
-	mergeSet(fa.readerNodes, o.readerNodes)
-	mergeSet(fa.writerApps, o.writerApps)
-	mergeSet(fa.readerApps, o.readerApps)
+	fa.ranks.merge(&o.ranks)
+	fa.writerRanks.merge(&o.writerRanks)
+	fa.readerRanks.merge(&o.readerRanks)
+	fa.writerNodes.merge(&o.writerNodes)
+	fa.readerNodes.merge(&o.readerNodes)
+	fa.writerApps.merge(&o.writerApps)
+	fa.readerApps.merge(&o.readerApps)
 	fa.bytesRead += o.bytesRead
 	fa.bytesWritten += o.bytesWritten
 	fa.opens += o.opens
@@ -255,13 +222,91 @@ func (fa *fileAgg) merge(o *fileAgg) {
 	fa.ioDur += o.ioDur
 }
 
+// addIDs records a primary row's rank and, for a read or a write, its
+// reader or writer rank, node and app.
+func (fa *fileAgg) addIDs(op trace.Op, rank, node, app int32) {
+	fa.ranks.add(rank)
+	switch op {
+	case trace.OpRead:
+		fa.readerRanks.add(rank)
+		fa.readerNodes.add(node)
+		fa.readerApps.add(app)
+	case trace.OpWrite:
+		fa.writerRanks.add(rank)
+		fa.writerNodes.add(node)
+		fa.writerApps.add(app)
+	}
+}
+
+// idSet is a set of int32 ids that stays inline while it holds one id —
+// the common case at scale, where a file-per-process file has one rank,
+// node and app — and moves to a map from the second distinct id on. The
+// representation is canonical (one id inline, or every id in the map), so
+// equal sets compare equal.
+type idSet struct {
+	one  int32
+	has1 bool
+	more map[int32]struct{}
+}
+
+func (s *idSet) add(id int32) {
+	switch {
+	case s.has1 && id == s.one:
+	case s.has1:
+		s.more = map[int32]struct{}{s.one: {}, id: {}}
+		s.one, s.has1 = 0, false
+	case s.more != nil:
+		s.more[id] = struct{}{}
+	default:
+		s.one, s.has1 = id, true
+	}
+}
+
+func (s *idSet) len() int {
+	if s.has1 {
+		return 1
+	}
+	return len(s.more)
+}
+
+func (s *idSet) has(id int32) bool {
+	if s.has1 {
+		return id == s.one
+	}
+	_, ok := s.more[id]
+	return ok
+}
+
+// each calls fn for every member, in no particular order.
+func (s *idSet) each(fn func(id int32)) {
+	if s.has1 {
+		fn(s.one)
+	}
+	for id := range s.more {
+		fn(id)
+	}
+}
+
+func (s *idSet) merge(o *idSet) { o.each(s.add) }
+
+// rankAcc is one rank's primary read/write bytes and durations; hit marks
+// a rank with any primary I/O row.
 type rankAcc struct {
 	rBytes, wBytes int64
 	rDur, wDur     int64
+	hit            bool
+}
+
+func (r *rankAcc) merge(o *rankAcc) {
+	r.rBytes += o.rBytes
+	r.wBytes += o.wBytes
+	r.rDur += o.rDur
+	r.wDur += o.wDur
+	r.hit = r.hit || o.hit
 }
 
 func (a *analysis) run() (*Characterization, error) {
-	if err := a.fusedScan(); err != nil {
+	if err := a.scan(); err != nil {
 		return nil, err
 	}
 	if err := a.postScan(); err != nil {
@@ -273,436 +318,14 @@ func (a *analysis) run() (*Characterization, error) {
 	c.Apps = a.apps()
 	c.Workflow = a.workflow(c.Apps)
 	c.Phases = a.phases()
-	c.HighLevel = a.highLevel()
+	dist := a.dataDist()
+	c.HighLevel = a.highLevel(dist)
 	c.Middleware = a.middleware()
 	c.NodeLocal, c.Shared = a.storageEntities()
-	c.Dataset = a.dataset()
+	c.Dataset = a.dataset(dist)
 	c.File = a.fileEntity()
 	c.Figure = a.figure()
 	return c, nil
-}
-
-type appFile struct {
-	app  int32
-	file int32
-}
-
-// pass1 is the per-chunk partial of the level-resolution scan: the
-// app-facing level per (application, file) stream — the highest abstraction
-// through which that application touched that file, so counting there
-// avoids double-counting one logical operation across layers while keeping
-// POSIX-only side traffic visible — plus the global facts (job runtime,
-// GPU usage, per-app rank sets) the old analyzer gathered with separate
-// whole-table walks.
-type pass1 struct {
-	levels   map[appFile]uint8
-	maxEnd   int64
-	gpu      bool
-	appRanks map[int32]map[int32]bool
-}
-
-// pass2 is the per-chunk partial of the fused characterization scan. Every
-// numeric accumulator is an integer sum and every set a union, so the
-// merged result is bit-identical at any parallelism; sel is the chunk's
-// row selection for pass 3.
-type pass2 struct {
-	sel        chunkSel
-	files      map[int32]*fileAgg
-	readBytes  int64
-	writeBytes int64
-	data, meta int64
-	readHist   stats.SizeHistogram
-	writeHist  stats.SizeHistogram
-	readTL     *stats.Timeline
-	writeTL    *stats.Timeline
-	perRank    map[int32]*rankAcc
-}
-
-// fusedScan replaces the old analyzer's half-dozen independent whole-table
-// predicate walks (primary-level resolution, primary row collection,
-// per-app rank scans, GPU detection, POSIX row collection, file
-// aggregation, histogram/timeline/per-rank accumulation) with two
-// chunk-parallel passes over the columnar store. Each pass declares its
-// column set and Requires it per chunk, so a lazily planned table decodes
-// exactly the columns the pass touches.
-func (a *analysis) fusedScan() error {
-	t0 := time.Now()
-	// Grouped execution first: when the key columns unify to dense codes,
-	// the whole scan runs on flat arrays and key spans (analyzer_grouped.go)
-	// with byte-identical results; otherwise this map-keyed path runs.
-	if colstore.GroupedKernelsEnabled() {
-		if done, err := a.fusedScanGrouped(); err != nil || done {
-			return err
-		}
-	}
-	nchunks := a.tb.NumChunks()
-	errs := make([]error, nchunks)
-
-	// Pass 1: resolve primary levels and global scan facts.
-	p1 := make([]*pass1, nchunks)
-	parallel.ForEach(a.par, nchunks, func(k int) {
-		if errs[k] = a.ctx.Err(); errs[k] != nil {
-			return
-		}
-		c := a.tb.ChunkAt(k)
-		// Kernel request: serve the pass from constant-key spans over the
-		// encoded segments, materializing only End (whose delta-chain
-		// segment has no compressed-domain form). Fallback: materialize the
-		// pass's full column set and iterate rows.
-		spans, spanOK := a.tb.ChunkSpans(k, nil)
-		need := pass1Cols
-		if spanOK {
-			need = trace.ColEnd
-		}
-		if errs[k] = c.Require(need); errs[k] != nil {
-			return
-		}
-		p := &pass1{levels: map[appFile]uint8{}, appRanks: map[int32]map[int32]bool{}}
-		if spanOK {
-			for _, e := range c.End {
-				if e > p.maxEnd {
-					p.maxEnd = e
-				}
-			}
-			for _, s := range spans {
-				if trace.Op(s.Op) == trace.OpGPUCompute {
-					p.gpu = true
-				}
-				ranks := p.appRanks[s.App]
-				if ranks == nil {
-					ranks = map[int32]bool{}
-					p.appRanks[s.App] = ranks
-				}
-				ranks[s.Rank] = true
-				if !trace.Op(s.Op).IsIO() {
-					continue
-				}
-				key := appFile{s.App, s.File}
-				if cur, ok := p.levels[key]; !ok || s.Level < cur {
-					p.levels[key] = s.Level
-				}
-			}
-			p1[k] = p
-			return
-		}
-		for j := 0; j < c.N; j++ {
-			if c.End[j] > p.maxEnd {
-				p.maxEnd = c.End[j]
-			}
-			if trace.Op(c.Op[j]) == trace.OpGPUCompute {
-				p.gpu = true
-			}
-			ranks := p.appRanks[c.App[j]]
-			if ranks == nil {
-				ranks = map[int32]bool{}
-				p.appRanks[c.App[j]] = ranks
-			}
-			ranks[c.Rank[j]] = true
-			if !trace.Op(c.Op[j]).IsIO() {
-				continue
-			}
-			key := appFile{c.App[j], c.File[j]}
-			if cur, ok := p.levels[key]; !ok || c.Level[j] < cur {
-				p.levels[key] = c.Level[j]
-			}
-		}
-		p1[k] = p
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	levels := map[appFile]uint8{}
-	appRankSets := map[int32]map[int32]bool{}
-	var maxEnd int64
-	for _, p := range p1 {
-		if p.maxEnd > maxEnd {
-			maxEnd = p.maxEnd
-		}
-		a.gpuUsed = a.gpuUsed || p.gpu
-		for key, lv := range p.levels {
-			if cur, ok := levels[key]; !ok || lv < cur {
-				levels[key] = lv
-			}
-		}
-		for app, ranks := range p.appRanks {
-			if appRankSets[app] == nil {
-				appRankSets[app] = map[int32]bool{}
-			}
-			mergeSet(appRankSets[app], ranks)
-		}
-	}
-	a.runtime = time.Duration(maxEnd)
-	a.appRanks = make(map[int32]int, len(appRankSets))
-	for app, ranks := range appRankSets {
-		a.appRanks[app] = len(ranks)
-	}
-	a.pass1Time = time.Since(t0)
-
-	// Pass 2: the fused characterization scan at the resolved levels.
-	span := a.runtime
-	if span <= 0 {
-		span = time.Second
-	}
-	bins := a.opt.TimelineBins
-	p2 := make([]*pass2, nchunks)
-	parallel.ForEach(a.par, nchunks, func(k int) {
-		if errs[k] = a.ctx.Err(); errs[k] != nil {
-			return
-		}
-		c := a.tb.ChunkAt(k)
-		// Same kernel request as pass 1: spans hoist every per-row map
-		// lookup, level check and op dispatch to span boundaries; only the
-		// Size/Start/End accumulations stay per-row, in unchanged row
-		// order, so the result is byte-identical to the row loop.
-		spans, spanOK := a.tb.ChunkSpans(k, nil)
-		a.tb.TickAccumKernels(spanOK)
-		need := pass2Cols
-		if spanOK {
-			need = trace.ColSize | trace.ColStart | trace.ColEnd
-		}
-		if errs[k] = c.Require(need); errs[k] != nil {
-			return
-		}
-		p := &pass2{
-			sel:     newChunkSel(c.N),
-			files:   map[int32]*fileAgg{},
-			readTL:  stats.NewTimeline(span, bins),
-			writeTL: stats.NewTimeline(span, bins),
-			perRank: map[int32]*rankAcc{},
-		}
-		if spanOK {
-			a.spanPass2(c, spans, levels, p)
-			p2[k] = p
-			return
-		}
-		for j := 0; j < c.N; j++ {
-			op := trace.Op(c.Op[j])
-			if !op.IsIO() {
-				continue
-			}
-			if trace.Level(c.Level[j]) == trace.LevelPosix {
-				p.sel.addPosix(j, j+1)
-			}
-			if c.Level[j] != levels[appFile{c.App[j], c.File[j]}] {
-				continue
-			}
-			p.sel.addPrim(c, j, j+1)
-			dur := c.End[j] - c.Start[j]
-			if op.IsData() {
-				p.data++
-			} else if op.IsMeta() {
-				p.meta++
-			}
-			var fa *fileAgg
-			if c.File[j] >= 0 {
-				fa = p.files[c.File[j]]
-				if fa == nil {
-					fa = newFileAgg(c.File[j])
-					p.files[c.File[j]] = fa
-				}
-				fa.ranks[c.Rank[j]] = true
-				fa.ioDur += time.Duration(dur)
-			}
-			acc := p.perRank[c.Rank[j]]
-			if acc == nil {
-				acc = &rankAcc{}
-				p.perRank[c.Rank[j]] = acc
-			}
-			switch op {
-			case trace.OpRead:
-				p.readBytes += c.Size[j]
-				p.readHist.Add(c.Size[j], time.Duration(dur))
-				p.readTL.Add(time.Duration(c.Start[j]), time.Duration(c.End[j]), c.Size[j])
-				acc.rBytes += c.Size[j]
-				acc.rDur += dur
-				if fa != nil {
-					fa.bytesRead += c.Size[j]
-					fa.readerRanks[c.Rank[j]] = true
-					fa.readerNodes[c.Node[j]] = true
-					fa.readerApps[c.App[j]] = true
-					fa.dataOps++
-				}
-			case trace.OpWrite:
-				p.writeBytes += c.Size[j]
-				p.writeHist.Add(c.Size[j], time.Duration(dur))
-				p.writeTL.Add(time.Duration(c.Start[j]), time.Duration(c.End[j]), c.Size[j])
-				acc.wBytes += c.Size[j]
-				acc.wDur += dur
-				if fa != nil {
-					fa.bytesWritten += c.Size[j]
-					fa.writerRanks[c.Rank[j]] = true
-					fa.writerNodes[c.Node[j]] = true
-					fa.writerApps[c.App[j]] = true
-					fa.dataOps++
-				}
-			case trace.OpOpen:
-				if fa != nil {
-					fa.opens++
-					fa.metaOps++
-				}
-			default:
-				if fa != nil {
-					fa.metaOps++
-				}
-			}
-		}
-		p2[k] = p
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-
-	a.sels = make([]chunkSel, nchunks)
-	a.fileAgg = map[int32]*fileAgg{}
-	a.readTL = stats.NewTimeline(span, bins)
-	a.writeTL = stats.NewTimeline(span, bins)
-	a.perRank = map[int32]*rankAcc{}
-	for k, p := range p2 {
-		a.sels[k] = p.sel
-		for f, fa := range p.files {
-			if cur := a.fileAgg[f]; cur != nil {
-				cur.merge(fa)
-			} else {
-				a.fileAgg[f] = fa
-			}
-		}
-		a.readBytes += p.readBytes
-		a.writeBytes += p.writeBytes
-		a.primData += p.data
-		a.primMeta += p.meta
-		a.readHist.Merge(&p.readHist)
-		a.writeHist.Merge(&p.writeHist)
-		a.readTL.Merge(p.readTL)
-		a.writeTL.Merge(p.writeTL)
-		for r, acc := range p.perRank {
-			if cur := a.perRank[r]; cur != nil {
-				cur.rBytes += acc.rBytes
-				cur.wBytes += acc.wBytes
-				cur.rDur += acc.rDur
-				cur.wDur += acc.wDur
-			} else {
-				a.perRank[r] = acc
-			}
-		}
-	}
-	a.pass2Time = time.Since(t0) - a.pass1Time
-	return nil
-}
-
-// spanPass2 runs pass 2 over one chunk's constant-key spans: the level
-// check, primary resolution, file and rank accumulator lookups and the op
-// dispatch happen once per span instead of once per row, and the remaining
-// Size/Start/End accumulations run batched — equal-size sub-runs feed
-// SizeHistogram.AddRun, Timeline.AddRuns buckets whole spans, and the byte
-// and duration tallies are span sums. Every batched add is a regrouped
-// integer sum over the same rows in the same order, so every per-chunk
-// partial is identical to the fallback's.
-func (a *analysis) spanPass2(c *colstore.Chunk, spans []colstore.Span, levels map[appFile]uint8, p *pass2) {
-	for _, s := range spans {
-		op := trace.Op(s.Op)
-		if !op.IsIO() {
-			continue
-		}
-		if trace.Level(s.Level) == trace.LevelPosix {
-			p.sel.addPosix(s.Lo, s.Hi)
-		}
-		if s.Level != levels[appFile{s.App, s.File}] {
-			continue
-		}
-		p.sel.addPrim(c, s.Lo, s.Hi)
-		n := int64(s.Hi - s.Lo)
-		if op.IsData() {
-			p.data += n
-		} else if op.IsMeta() {
-			p.meta += n
-		}
-		var fa *fileAgg
-		if s.File >= 0 {
-			fa = p.files[s.File]
-			if fa == nil {
-				fa = newFileAgg(s.File)
-				p.files[s.File] = fa
-			}
-			fa.ranks[s.Rank] = true
-			var dsum int64
-			for j := s.Lo; j < s.Hi; j++ {
-				dsum += c.End[j] - c.Start[j]
-			}
-			fa.ioDur += time.Duration(dsum)
-		}
-		acc := p.perRank[s.Rank]
-		if acc == nil {
-			acc = &rankAcc{}
-			p.perRank[s.Rank] = acc
-		}
-		switch op {
-		case trace.OpRead:
-			var spanBytes int64
-			for j := s.Lo; j < s.Hi; {
-				sz := c.Size[j]
-				dsum := c.End[j] - c.Start[j]
-				j2 := j + 1
-				for j2 < s.Hi && c.Size[j2] == sz {
-					dsum += c.End[j2] - c.Start[j2]
-					j2++
-				}
-				cnt := int64(j2 - j)
-				spanBytes += sz * cnt
-				p.readHist.AddRun(sz, cnt, time.Duration(dsum))
-				acc.rDur += dsum
-				j = j2
-			}
-			p.readBytes += spanBytes
-			p.readTL.AddRuns(c.Start, c.End, c.Size, s.Lo, s.Hi)
-			acc.rBytes += spanBytes
-			if fa != nil {
-				fa.bytesRead += spanBytes
-				fa.readerRanks[s.Rank] = true
-				fa.readerNodes[s.Node] = true
-				fa.readerApps[s.App] = true
-				fa.dataOps += n
-			}
-		case trace.OpWrite:
-			var spanBytes int64
-			for j := s.Lo; j < s.Hi; {
-				sz := c.Size[j]
-				dsum := c.End[j] - c.Start[j]
-				j2 := j + 1
-				for j2 < s.Hi && c.Size[j2] == sz {
-					dsum += c.End[j2] - c.Start[j2]
-					j2++
-				}
-				cnt := int64(j2 - j)
-				spanBytes += sz * cnt
-				p.writeHist.AddRun(sz, cnt, time.Duration(dsum))
-				acc.wDur += dsum
-				j = j2
-			}
-			p.writeBytes += spanBytes
-			p.writeTL.AddRuns(c.Start, c.End, c.Size, s.Lo, s.Hi)
-			acc.wBytes += spanBytes
-			if fa != nil {
-				fa.bytesWritten += spanBytes
-				fa.writerRanks[s.Rank] = true
-				fa.writerNodes[s.Node] = true
-				fa.writerApps[s.App] = true
-				fa.dataOps += n
-			}
-		case trace.OpOpen:
-			if fa != nil {
-				fa.opens += n
-				fa.metaOps += n
-			}
-		default:
-			if fa != nil {
-				fa.metaOps += n
-			}
-		}
-	}
 }
 
 func (a *analysis) jobConfig() JobConfigEntity {
@@ -747,24 +370,21 @@ func interfaceName(counts *[8]int64) string {
 }
 
 func (a *analysis) apps() []AppEntity {
-	order := make([]int32, 0, len(a.appTallies))
-	for app := range a.appTallies {
-		order = append(order, app)
-	}
-	sort.Slice(order, func(x, y int) bool { return order[x] < order[y] })
-
 	var out []AppEntity
-	for _, app := range order {
-		t := a.appTallies[app]
+	for app, t := range a.appTallies {
+		if t == nil {
+			continue
+		}
+		id := int32(app)
 		dPct, mPct := pcts(t.data, t.meta)
-		fpp, shared := a.fileSplitForApp(app)
+		fpp, shared := a.fileSplitForApp(id)
 		out = append(out, AppEntity{
-			Name: a.tr.AppName(app),
+			Name: a.tr.AppName(id),
 			// Processes counts every rank that emitted any event for the
 			// app, including pure compute ranks (the paper's per-app process
 			// count) — gathered in pass 1 rather than by rescanning here.
 			Processes:   a.appRanks[app],
-			ProcDep:     a.procDep(app),
+			ProcDep:     a.procDep(id),
 			FPPFiles:    fpp,
 			SharedFiles: shared,
 			IOBytes:     t.bytes,
@@ -779,11 +399,11 @@ func (a *analysis) apps() []AppEntity {
 
 // fileSplitForApp counts FPP vs shared files among files the app touched.
 func (a *analysis) fileSplitForApp(app int32) (fpp, shared int) {
-	for _, fa := range a.fileAgg {
-		if !fa.readerApps[app] && !fa.writerApps[app] {
+	for _, fa := range a.touched {
+		if !fa.readerApps.has(app) && !fa.writerApps.has(app) {
 			continue
 		}
-		if len(fa.ranks) == 1 {
+		if fa.ranks.len() == 1 {
 			fpp++
 		} else {
 			shared++
@@ -795,16 +415,16 @@ func (a *analysis) fileSplitForApp(app int32) (fpp, shared int) {
 // procDep classifies the dominant process/data relationship of an app.
 func (a *analysis) procDep(app int32) ProcDepKind {
 	var solo, singleWriter, sharedRead, pipeline int
-	for _, fa := range a.fileAgg {
-		if !fa.readerApps[app] && !fa.writerApps[app] {
+	for _, fa := range a.touched {
+		if !fa.readerApps.has(app) && !fa.writerApps.has(app) {
 			continue
 		}
 		switch {
-		case len(fa.ranks) == 1:
+		case fa.ranks.len() == 1:
 			solo++
-		case len(fa.writerRanks) == 1 && len(fa.ranks) > 1:
+		case fa.writerRanks.len() == 1 && fa.ranks.len() > 1:
 			singleWriter++
-		case len(fa.writerRanks) == 0 && len(fa.readerRanks) > 1:
+		case fa.writerRanks.len() == 0 && fa.readerRanks.len() > 1:
 			sharedRead++
 		default:
 			pipeline++
@@ -826,8 +446,8 @@ func (a *analysis) procDep(app int32) ProcDepKind {
 func (a *analysis) workflow(apps []AppEntity) WorkflowEntity {
 	dPct, mPct := pcts(a.primData, a.primMeta)
 	var fpp, shared int
-	for _, fa := range a.fileAgg {
-		if len(fa.ranks) == 1 {
+	for _, fa := range a.touched {
+		if fa.ranks.len() == 1 {
 			fpp++
 		} else {
 			shared++
@@ -842,15 +462,13 @@ func (a *analysis) workflow(apps []AppEntity) WorkflowEntity {
 		gpus = a.tr.Meta.GPUsPerNode
 	}
 	crossRAW := false
-	for _, fa := range a.fileAgg {
-		if len(fa.writerNodes) == 0 || len(fa.readerNodes) == 0 {
+	for _, fa := range a.touched {
+		if fa.writerNodes.len() == 0 {
 			continue
 		}
-		for rn := range fa.readerNodes {
-			if !fa.writerNodes[rn] || len(fa.writerNodes) > 1 {
-				crossRAW = true
-			}
-		}
+		fa.readerNodes.each(func(rn int32) {
+			crossRAW = crossRAW || !fa.writerNodes.has(rn) || fa.writerNodes.len() > 1
+		})
 	}
 	return WorkflowEntity{
 		CPUCoresUsedPerNode: ranksPerNode,
@@ -876,11 +494,11 @@ func (a *analysis) appDeps() []AppDep {
 	type key struct{ prod, cons int32 }
 	agg := map[key]*AppDep{}
 	var order []key
-	for _, fa := range a.fileAgg {
-		for prod := range fa.writerApps {
-			for cons := range fa.readerApps {
+	for _, fa := range a.touched {
+		fa.writerApps.each(func(prod int32) {
+			fa.readerApps.each(func(cons int32) {
 				if prod == cons {
-					continue
+					return
 				}
 				k := key{prod, cons}
 				d := agg[k]
@@ -894,8 +512,8 @@ func (a *analysis) appDeps() []AppDep {
 				}
 				d.Bytes += fa.bytesRead
 				d.Files++
-			}
-		}
+			})
+		})
 	}
 	sort.Slice(order, func(x, y int) bool {
 		if order[x].prod != order[y].prod {
@@ -936,26 +554,25 @@ func phaseLabel(opsPerRank float64, granule int64) string {
 	}
 }
 
-func (a *analysis) highLevel() HighLevelIOEntity {
+func (a *analysis) highLevel(dist stats.DistKind) HighLevelIOEntity {
 	// Data representation: dominant dimensionality weighted by file I/O,
 	// tallied over sorted dimensionalities so weight ties resolve to the
 	// lower dimensionality regardless of map iteration order.
-	dims := map[int]int64{}
-	for _, fa := range a.fileAgg {
-		info := a.tr.Files[fa.id]
-		if info.NDims > 0 {
-			dims[info.NDims] += fa.bytesRead + fa.bytesWritten + 1
+	weight := map[int]int64{}
+	for _, fa := range a.touched {
+		if nd := a.tr.Files[fa.id].NDims; nd > 0 {
+			weight[nd] += fa.bytesRead + fa.bytesWritten + 1
 		}
 	}
-	dimOrder := make([]int, 0, len(dims))
-	for d := range dims {
+	dimOrder := make([]int, 0, len(weight))
+	for d := range weight {
 		dimOrder = append(dimOrder, d)
 	}
 	sort.Ints(dimOrder)
 	bestDim, bestW := 0, int64(-1)
 	for _, d := range dimOrder {
-		if dims[d] > bestW {
-			bestDim, bestW = d, dims[d]
+		if weight[d] > bestW {
+			bestDim, bestW = d, weight[d]
 		}
 	}
 	repr := "unknown"
@@ -969,7 +586,7 @@ func (a *analysis) highLevel() HighLevelIOEntity {
 			Write: a.primSizes[1].dominant(),
 		},
 		AccessPattern: a.primStreams.pattern(),
-		DataDist:      a.dataDist(),
+		DataDist:      dist,
 	}
 }
 
@@ -1019,11 +636,11 @@ func (a *analysis) storageEntities() (NodeLocalEntity, SharedStorageEntity) {
 	return nl, sh
 }
 
-func (a *analysis) dataset() DatasetEntity {
+func (a *analysis) dataset(dist stats.DistKind) DatasetEntity {
 	formats := map[string]int64{}
 	var totalSize int64
 	var dataFileSize, metaFileSize int64
-	for _, fa := range a.fileAgg {
+	for _, fa := range a.touched {
 		info := a.tr.Files[fa.id]
 		formats[info.Format]++
 		totalSize += info.Size
@@ -1043,20 +660,20 @@ func (a *analysis) dataset() DatasetEntity {
 	}
 	dPct, mPct := pcts(a.primData, a.primMeta)
 	var io int64
-	for _, fa := range a.fileAgg {
+	for _, fa := range a.touched {
 		io += fa.bytesRead + fa.bytesWritten
 	}
 	return DatasetEntity{
 		Format:       bestFmt,
 		SizeBytes:    totalSize,
-		NumFiles:     len(a.fileAgg),
+		NumFiles:     len(a.touched),
 		IOBytes:      io,
 		IOTime:       a.ioTime,
 		DataOpsPct:   dPct,
 		MetaOpsPct:   mPct,
 		DataFileSize: dataFileSize,
 		MetaFileSize: metaFileSize,
-		DataDist:     a.dataDist(),
+		DataDist:     dist,
 	}
 }
 
@@ -1064,14 +681,8 @@ func (a *analysis) dataset() DatasetEntity {
 // highest I/O volume, volume ties breaking to the lowest file ID (the
 // first such file recorded) so the pick is deterministic.
 func (a *analysis) fileEntity() FileEntity {
-	ids := make([]int32, 0, len(a.fileAgg))
-	for f := range a.fileAgg {
-		ids = append(ids, f)
-	}
-	sort.Slice(ids, func(x, y int) bool { return ids[x] < ids[y] })
 	var best *fileAgg
-	for _, f := range ids {
-		fa := a.fileAgg[f]
+	for _, fa := range a.touched {
 		if best == nil || fa.bytesRead+fa.bytesWritten > best.bytesRead+best.bytesWritten {
 			best = fa
 		}
@@ -1114,14 +725,11 @@ func (a *analysis) figure() FigureData {
 	}
 
 	// Per-rank achieved bandwidth (Figure 2c), ranks ascending.
-	rankOrder := make([]int32, 0, len(a.perRank))
-	for r := range a.perRank {
-		rankOrder = append(rankOrder, r)
-	}
-	sort.Slice(rankOrder, func(x, y int) bool { return rankOrder[x] < rankOrder[y] })
-	for _, r := range rankOrder {
-		acc := a.perRank[r]
-		rb := RankBandwidth{Rank: r}
+	for r, acc := range a.perRank {
+		if !acc.hit {
+			continue
+		}
+		rb := RankBandwidth{Rank: int32(r)}
 		if acc.rDur > 0 {
 			rb.ReadBW = float64(acc.rBytes) / (float64(acc.rDur) / float64(time.Second))
 		}
@@ -1132,17 +740,9 @@ func (a *analysis) figure() FigureData {
 	}
 
 	// Dependency panel: highest-volume files.
-	flows := make([]*fileAgg, 0, len(a.fileAgg))
-	for _, fa := range a.fileAgg {
-		flows = append(flows, fa)
-	}
-	sort.Slice(flows, func(x, y int) bool {
-		bx := flows[x].bytesRead + flows[x].bytesWritten
-		by := flows[y].bytesRead + flows[y].bytesWritten
-		if bx != by {
-			return bx > by
-		}
-		return flows[x].id < flows[y].id
+	flows := append([]*fileAgg(nil), a.touched...)
+	sort.SliceStable(flows, func(x, y int) bool {
+		return flows[x].bytesRead+flows[x].bytesWritten > flows[y].bytesRead+flows[y].bytesWritten
 	})
 	if len(flows) > a.opt.TopFlows {
 		flows = flows[:a.opt.TopFlows]
@@ -1150,8 +750,8 @@ func (a *analysis) figure() FigureData {
 	for _, fa := range flows {
 		fig.TopFlows = append(fig.TopFlows, FileFlow{
 			Path:         a.tr.Files[fa.id].Path,
-			WriterRanks:  len(fa.writerRanks),
-			ReaderRanks:  len(fa.readerRanks),
+			WriterRanks:  fa.writerRanks.len(),
+			ReaderRanks:  fa.readerRanks.len(),
 			BytesWritten: fa.bytesWritten,
 			BytesRead:    fa.bytesRead,
 			Opens:        fa.opens,

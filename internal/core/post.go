@@ -444,7 +444,7 @@ func (a *analysis) postScan() error {
 			}
 		}
 	}
-	a.appTallies = map[int32]*appTally{}
+	a.appTallies = make([]*appTally, a.dims.apps)
 	for _, p := range parts {
 		if ordered {
 			collect(&p.phases)

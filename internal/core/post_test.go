@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"vani/internal/colstore"
+	"vani/internal/stats"
 	"vani/internal/trace"
 )
 
@@ -28,8 +29,10 @@ type refPost struct {
 	apps                 []AppEntity // Name, IOBytes, op mix, Interface, Runtime
 }
 
-func referencePost(tr *trace.Trace, gap time.Duration) refPost {
-	evs := tr.Events
+// refPrimary flags the primary I/O events: those at the app-facing level
+// of their (app, file) stream, the lowest Level any I/O event of the stream
+// carries.
+func refPrimary(evs []trace.Event) []bool {
 	type appFileKey struct{ app, file int32 }
 	levels := map[appFileKey]trace.Level{}
 	for _, e := range evs {
@@ -38,15 +41,22 @@ func referencePost(tr *trace.Trace, gap time.Duration) refPost {
 			levels[k] = e.Level
 		}
 	}
+	prim := make([]bool, len(evs))
+	for i, e := range evs {
+		prim[i] = e.Op.IsIO() && e.Level == levels[appFileKey{e.App, e.File}]
+	}
+	return prim
+}
+
+func referencePost(tr *trace.Trace, gap time.Duration) refPost {
+	evs := tr.Events
+	isPrim := refPrimary(evs)
 	var prim, posix []trace.Event
-	for _, e := range evs {
-		if !e.Op.IsIO() {
-			continue
-		}
-		if e.Level == trace.LevelPosix {
+	for i, e := range evs {
+		if e.Op.IsIO() && e.Level == trace.LevelPosix {
 			posix = append(posix, e)
 		}
-		if e.Level == levels[appFileKey{e.App, e.File}] {
+		if isPrim[i] {
 			prim = append(prim, e)
 		}
 	}
@@ -192,6 +202,162 @@ func refSteps(evs []trace.Event) (seq, total int64) {
 	return
 }
 
+// refScan is the row-at-a-time reference for passes 1 and 2: the primary
+// row flags (the level resolution), the per-file aggregates with their
+// rank/node/app sets, per-rank bandwidth tallies, the size histograms and
+// timelines, the primary data/meta counts, per-app rank counts, GPU use and
+// runtime. Like refPost it walks the event log directly — no chunks, spans,
+// dense arrays or per-worker partials.
+type refScan struct {
+	prim                []bool
+	files               map[int32]*fileAgg
+	perRank             map[int32]rankAcc
+	readHist, writeHist stats.SizeHistogram
+	readTL, writeTL     *stats.Timeline
+	data, meta          int64
+	appRanks            map[int32]int
+	gpu                 bool
+	runtime             time.Duration
+}
+
+func referenceScan(evs []trace.Event, bins int) refScan {
+	r := refScan{
+		prim:     refPrimary(evs),
+		files:    map[int32]*fileAgg{},
+		perRank:  map[int32]rankAcc{},
+		appRanks: map[int32]int{},
+	}
+	appRanks := map[[2]int32]bool{}
+	for _, e := range evs {
+		r.runtime = max(r.runtime, e.End)
+		r.gpu = r.gpu || e.Op == trace.OpGPUCompute
+		if k := [2]int32{e.App, e.Rank}; !appRanks[k] {
+			appRanks[k] = true
+			r.appRanks[e.App]++
+		}
+	}
+	span := r.runtime
+	if span <= 0 {
+		span = time.Second
+	}
+	r.readTL, r.writeTL = stats.NewTimeline(span, bins), stats.NewTimeline(span, bins)
+	for i, e := range evs {
+		if !r.prim[i] {
+			continue
+		}
+		dur := e.End - e.Start
+		if e.Op.IsData() {
+			r.data++
+		} else {
+			r.meta++
+		}
+		var fa *fileAgg
+		if e.File >= 0 {
+			if fa = r.files[e.File]; fa == nil {
+				fa = newFileAgg(e.File)
+				r.files[e.File] = fa
+			}
+			fa.ranks.add(e.Rank)
+			fa.ioDur += dur
+		}
+		acc := r.perRank[e.Rank]
+		acc.hit = true
+		switch e.Op {
+		case trace.OpRead:
+			r.readHist.Add(e.Size, dur)
+			r.readTL.Add(e.Start, e.End, e.Size)
+			acc.rBytes += e.Size
+			acc.rDur += int64(dur)
+			if fa != nil {
+				fa.bytesRead += e.Size
+				fa.dataOps++
+				fa.readerRanks.add(e.Rank)
+				fa.readerNodes.add(e.Node)
+				fa.readerApps.add(e.App)
+			}
+		case trace.OpWrite:
+			r.writeHist.Add(e.Size, dur)
+			r.writeTL.Add(e.Start, e.End, e.Size)
+			acc.wBytes += e.Size
+			acc.wDur += int64(dur)
+			if fa != nil {
+				fa.bytesWritten += e.Size
+				fa.dataOps++
+				fa.writerRanks.add(e.Rank)
+				fa.writerNodes.add(e.Node)
+				fa.writerApps.add(e.App)
+			}
+		default:
+			if fa != nil {
+				fa.metaOps++
+				if e.Op == trace.OpOpen {
+					fa.opens++
+				}
+			}
+		}
+		r.perRank[e.Rank] = acc
+	}
+	return r
+}
+
+// checkScanAgainstRef compares the analyzer's pass 1 and 2 state with the
+// reference, row flags first: a wrong level resolution shows there before
+// it skews every aggregate.
+func checkScanAgainstRef(t *testing.T, where string, a *analysis, ref refScan) {
+	t.Helper()
+	var prim []bool
+	for k := range a.sels {
+		for j := 0; j < a.tb.ChunkAt(k).N; j++ {
+			prim = append(prim, a.sels[k].prim[j>>6]&(1<<(j&63)) != 0)
+		}
+	}
+	if !reflect.DeepEqual(prim, ref.prim) {
+		t.Errorf("%s: primary row flags differ from the reference level resolution", where)
+	}
+	nfiles := 0
+	for id, fa := range a.files {
+		want := ref.files[int32(id)]
+		if fa != nil {
+			nfiles++
+		}
+		if (fa == nil) != (want == nil) || (fa != nil && !reflect.DeepEqual(fa, want)) {
+			t.Errorf("%s: file %d aggregate\n got %+v\nwant %+v", where, id, fa, want)
+		}
+	}
+	if nfiles != len(ref.files) || len(a.touched) != nfiles {
+		t.Errorf("%s: %d files aggregated (%d reported), want %d", where, nfiles, len(a.touched), len(ref.files))
+	}
+	nranks := 0
+	for r, acc := range a.perRank {
+		if acc.hit {
+			nranks++
+		}
+		if want := ref.perRank[int32(r)]; acc != want {
+			t.Errorf("%s: rank %d tallies %+v, want %+v", where, r, acc, want)
+		}
+	}
+	if nranks != len(ref.perRank) {
+		t.Errorf("%s: %d ranks with primary I/O, want %d", where, nranks, len(ref.perRank))
+	}
+	if !reflect.DeepEqual(a.readHist, ref.readHist) || !reflect.DeepEqual(a.writeHist, ref.writeHist) {
+		t.Errorf("%s: size histograms differ", where)
+	}
+	if !reflect.DeepEqual(a.readTL, ref.readTL) || !reflect.DeepEqual(a.writeTL, ref.writeTL) {
+		t.Errorf("%s: timelines differ", where)
+	}
+	if a.primData != ref.data || a.primMeta != ref.meta {
+		t.Errorf("%s: %d data / %d meta primary ops, want %d / %d", where, a.primData, a.primMeta, ref.data, ref.meta)
+	}
+	for app, n := range a.appRanks {
+		if n != ref.appRanks[int32(app)] {
+			t.Errorf("%s: app %d has %d ranks, want %d", where, app, n, ref.appRanks[int32(app)])
+		}
+	}
+	if a.gpuUsed != ref.gpu || a.runtime != ref.runtime {
+		t.Errorf("%s: gpu=%v runtime=%v, want gpu=%v runtime=%v", where, a.gpuUsed, a.runtime, ref.gpu, ref.runtime)
+	}
+}
+
 // postTrace lays out a trace of five full chunks plus a tail, one event per
 // microsecond in row order, built so pass 3's chunk edges are exercised:
 //   - a 5 ms pause right before row ChunkRows puts a phase boundary exactly
@@ -313,10 +479,10 @@ func stepCounts(ss *streams) (seq, total int64) {
 
 // TestPostPassesMatchReference holds pass 3 to the row-at-a-time reference
 // on traces whose phases, streams and selections cross chunk edges, for
-// in-memory and planned block tables, grouped execution on and off, and
-// sequential, fixed and NumCPU parallelism.
+// in-memory and planned block tables, compressed-domain kernels on and off,
+// and sequential, fixed and NumCPU parallelism.
 func TestPostPassesMatchReference(t *testing.T) {
-	defer colstore.SetGroupedKernelsEnabled(true)
+	defer colstore.SetKernelsEnabled(true)
 	dir := t.TempDir()
 	for _, tc := range []struct {
 		name    string
@@ -332,25 +498,9 @@ func TestPostPassesMatchReference(t *testing.T) {
 		if tc.ordered && len(ref.phases) != 4 {
 			t.Fatalf("%s: reference found %d phases, the layout has 4", tc.name, len(ref.phases))
 		}
-		path := filepath.Join(dir, tc.name+".trc")
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := trace.WriteV2(f, tc.tr); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		br, err := trace.OpenBlockReader(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer br.Close()
-
-		for _, grouped := range []bool{true, false} {
-			colstore.SetGroupedKernelsEnabled(grouped)
+		br := openBlocks(t, dir, tc.name, tc.tr)
+		for _, kernels := range []bool{true, false} {
+			colstore.SetKernelsEnabled(kernels)
 			for _, par := range []int{1, 2, runtime.NumCPU()} {
 				var stats colstore.ScanStats
 				planned, err := colstore.FromBlocksSpec(br, par, colstore.ScanSpec{}, &stats)
@@ -363,8 +513,8 @@ func TestPostPassesMatchReference(t *testing.T) {
 				}
 				for tname, tb := range tables {
 					where := tc.name + "/" + tname
-					if grouped {
-						where += "/grouped"
+					if !kernels {
+						where += "/kernels-off"
 					}
 					where += "/par=" + itoa(par)
 					opt := DefaultOptions()
@@ -373,12 +523,35 @@ func TestPostPassesMatchReference(t *testing.T) {
 					c, a := analyzeInternal(t, tc.tr, tb, opt)
 					checkAgainstRef(t, where, c, a, ref)
 				}
-				if served := stats.Snapshot().GroupServed; grouped != (served > 0) {
-					t.Errorf("%s grouped=%v par=%d: %d chunk passes served by key spans", tc.name, grouped, par, served)
+				if served := stats.Snapshot().GroupServed; kernels != (served > 0) {
+					t.Errorf("%s kernels=%v par=%d: %d chunk passes served by key spans", tc.name, kernels, par, served)
 				}
 			}
 		}
 	}
+}
+
+// openBlocks writes tr as a VANITRC2 log under dir and opens its block
+// reader, closed when the test ends.
+func openBlocks(t *testing.T, dir, name string, tr *trace.Trace) *trace.FileBlockReader {
+	t.Helper()
+	path := filepath.Join(dir, name+".trc")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.WriteV2(f, tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	br, err := trace.OpenBlockReader(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { br.Close() })
+	return br
 }
 
 func checkAgainstRef(t *testing.T, where string, c *Characterization, a *analysis, ref refPost) {

@@ -34,16 +34,28 @@ func Degree(p int) int {
 // guarantee between concurrent invocations. A panic in any invocation is
 // re-raised on the calling goroutine after all workers have drained.
 func ForEach(workers, n int, fn func(i int)) {
+	ForEachWorker(workers, n, func(_, i int) { fn(i) })
+}
+
+// Workers returns how many workers ForEach and ForEachWorker run for n
+// items at the requested parallelism: Degree(workers), capped at n.
+func Workers(workers, n int) int {
+	return max(min(Degree(workers), n), 0)
+}
+
+// ForEachWorker is ForEach that also passes fn the index w, in
+// [0, Workers(workers, n)), of the worker running it. No two concurrent
+// invocations share a w, so callers can keep one accumulator per worker
+// instead of one per item — valid whenever the accumulators merge
+// order-independently (integer sums, min/max, set unions).
+func ForEachWorker(workers, n int, fn func(w, i int)) {
 	if n <= 0 {
 		return
 	}
-	workers = Degree(workers)
-	if workers > n {
-		workers = n
-	}
+	workers = Workers(workers, n)
 	if workers == 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(0, i)
 		}
 		return
 	}
@@ -73,7 +85,7 @@ func ForEach(workers, n int, fn func(i int)) {
 				if i >= n {
 					return
 				}
-				fn(i)
+				fn(w, i)
 			}
 		}()
 	}

@@ -84,3 +84,39 @@ func TestDegree(t *testing.T) {
 		t.Error("default degree not positive")
 	}
 }
+
+// TestForEachWorkerIndexesAreExclusive: every worker index lies in
+// [0, Workers(workers, n)) and no two concurrent invocations share one, so
+// a per-worker accumulator written without locks sees no race.
+func TestForEachWorkerIndexesAreExclusive(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 8} {
+		n := 200
+		nw := Workers(workers, n)
+		if nw != min(workers, n) {
+			t.Fatalf("Workers(%d, %d) = %d", workers, n, nw)
+		}
+		busy := make([]atomic.Int32, nw)
+		sums := make([]int, nw)
+		ForEachWorker(workers, n, func(w, i int) {
+			if w < 0 || w >= nw {
+				t.Errorf("worker index %d outside [0, %d)", w, nw)
+				return
+			}
+			if busy[w].Add(1) != 1 {
+				t.Errorf("worker index %d used by two invocations at once", w)
+			}
+			sums[w] += i
+			busy[w].Add(-1)
+		})
+		total := 0
+		for _, s := range sums {
+			total += s
+		}
+		if total != n*(n-1)/2 {
+			t.Errorf("workers=%d: per-worker sums total %d, want %d", workers, total, n*(n-1)/2)
+		}
+	}
+	if Workers(4, 0) != 0 || Workers(4, 3) != 3 {
+		t.Errorf("Workers(4, 0) = %d, Workers(4, 3) = %d", Workers(4, 0), Workers(4, 3))
+	}
+}

@@ -47,14 +47,13 @@ type Metrics struct {
 	ScanKernelsServed   atomic.Int64
 	ScanKernelsFallback atomic.Int64
 
-	// Grouped-execution kernels (key spans + code-unified group
-	// aggregation) served vs fallen back, summed over jobs.
+	// The analyzer's key-span requests (one per chunk per pass) served from
+	// run summaries vs answered by row iteration, summed over jobs.
 	ScanGroupKernelsServed   atomic.Int64
 	ScanGroupKernelsFallback atomic.Int64
 
-	// Selection-backed chunks whose re-cut run summaries let grouped
-	// execution fire on filtered scans vs filtered chunks left on the
-	// row path.
+	// Selection-backed chunks whose re-cut run summaries let key spans
+	// serve filtered scans vs filtered chunks left on the row path.
 	ScanGroupFilteredServed   atomic.Int64
 	ScanGroupFilteredFallback atomic.Int64
 

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -445,6 +446,84 @@ func TestUploadValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("healthz: status %d", resp.StatusCode)
+	}
+}
+
+// badFileTraceBytes is a v2.2 trace whose event 37 names a file id five
+// past the header's file table.
+func badFileTraceBytes(t *testing.T) []byte {
+	t.Helper()
+	tr := trace.NewTracer()
+	tr.SetMeta(trace.Meta{Workload: "synthetic", Nodes: 4, Ranks: 16, PFSDir: "/p/gpfs1"})
+	app, file := tr.AppID("sim"), tr.FileID("/p/gpfs1/data")
+	for i := 0; i < 1000; i++ {
+		start := time.Duration(i) * time.Microsecond
+		e := trace.Event{
+			Level: trace.LevelPosix, Op: trace.OpWrite, Rank: int32(i % 16), App: app,
+			File: file, Offset: int64(i) * 4096, Size: 4096,
+			Start: start, End: start + time.Microsecond,
+		}
+		if i == 37 {
+			e.File = 1 + 5
+		}
+		tr.Record(e)
+	}
+	var buf bytes.Buffer
+	if err := trace.WriteV2(&buf, tr.Finish()); err != nil {
+		t.Fatalf("encoding trace: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// TestOutOfRangeIDUploadFailsJob: an uploaded trace naming a file its
+// header does not declare ends its job failed with the bad-format message;
+// the daemon stays healthy and serves the next upload.
+func TestOutOfRangeIDUploadFailsJob(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	code, st := upload(t, ts, "/v1/traces", badFileTraceBytes(t))
+	if code != http.StatusAccepted {
+		t.Fatalf("upload: status %d %+v, want 202", code, st)
+	}
+	st = pollJob(t, ts, st.ID)
+	if st.Status != string(jobFailed) || !strings.Contains(st.Error, "bad format") || !strings.Contains(st.Error, "file 6") {
+		t.Errorf("job = %+v, want failed with the bad-format message", st)
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("healthz after the failed job: status %d", resp.StatusCode)
+	}
+	code, st = upload(t, ts, "/v1/traces", testTraceBytes(t, trace.FormatV2, 1000))
+	if code != http.StatusAccepted {
+		t.Fatalf("next upload: status %d %+v, want 202", code, st)
+	}
+	if st = pollJob(t, ts, st.ID); st.Status != string(jobDone) {
+		t.Errorf("next upload's job = %+v, want done", st)
+	}
+}
+
+// TestOutOfRangeIDCharacterize422: the synchronous path answers the same
+// trace with 422 and the bad-format message.
+func TestOutOfRangeIDCharacterize422(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, err := http.Post(ts.URL+"/v1/characterize", "application/octet-stream", bytes.NewReader(badFileTraceBytes(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body) //nolint:errcheck
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(buf.String(), "bad format") {
+		t.Errorf("characterize: status %d %q, want 422 with the bad-format message", resp.StatusCode, buf.String())
 	}
 }
 

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"runtime"
@@ -548,7 +549,8 @@ func (sw *Sweep) runPoint(coord []int, storageOverride *storage.Config) (*worklo
 	aopt := core.DefaultOptions()
 	cfg := res.Spec.Storage
 	aopt.Storage = &cfg
-	return res, core.Analyze(res.Trace, aopt), nil
+	c, err := core.AnalyzeContext(context.Background(), res.Trace, aopt)
+	return res, c, err
 }
 
 // speedup formats a before/after ratio the way the report pins it.

@@ -8,7 +8,7 @@ package trace
 // (predicates flip at run boundaries of the filter columns), so the kept
 // rows form a handful of contiguous spans. CutRuns intersects a column's
 // block runs with those spans, yielding the value runs of exactly the kept
-// rows in kept order — the summary grouped execution needs to fire on
+// rows in kept order — the summary the analyzer's key spans need to serve
 // selection-backed chunks.
 
 // SelSpan is one maximal run of consecutive kept block rows in a

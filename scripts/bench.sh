@@ -10,22 +10,23 @@
 # matrix (encoded size and full-column-scan decode MB/s for v2.1, v2.1+flate
 # and every v2.2 segment codec), the compressed-domain execution bench
 # (filtered full characterization, kernels on vs off), the grouped
-# execution bench (unfiltered full characterization, grouped aggregation on
-# vs off), and the filtered grouped bench (filtered characterization with
-# selection-backed grouped execution on vs off), with -benchmem so bytes/op
-# and allocs/op land in the record.
+# aggregation bench (unfiltered full characterization through the dense
+# id-keyed accumulators), and the filtered grouped bench (filtered
+# characterization over selection-backed key spans), with -benchmem so
+# bytes/op and allocs/op land in the record.
 # BENCH_PR1.json was captured at GOMAXPROCS=1, which hid
 # every parallel speedup; this harness records GOMAXPROCS and refuses to
 # publish a single-core record from a multi-core machine unless explicitly
 # allowed with BENCH_ALLOW_SINGLE_CORE=1.
 #
 # After writing the record, the compressed-domain MB/s figures are compared
-# against the committed BENCH_PR6.json baseline, the grouped-execution
-# figures against BENCH_PR7.json, the filtered grouped figures against
-# BENCH_PR10.json, and the in-memory analyzer's seq and par ns/op and
-# bytes/op (it reports no MB/s) against BENCH_PR12.json; a loss of more
-# than 15% on any arm of any bench fails the run. Set
-# BENCH_SKIP_REGRESSION=1 to record anyway.
+# against the committed BENCH_PR6.json baseline, the grouped-aggregation
+# grouped-on arm against BENCH_PR7.json, the filtered grouped-on arm against
+# BENCH_PR10.json (those two baselines also hold a grouped-off arm the
+# benches no longer run, so the guards name the surviving arm), and the
+# in-memory analyzer's seq and par ns/op and bytes/op (it reports no MB/s)
+# against BENCH_PR12.json; a loss of more than 15% on any guarded arm fails
+# the run. Set BENCH_SKIP_REGRESSION=1 to record anyway.
 set -eu
 
 out="${1:-BENCH_PR12.json}"
@@ -71,12 +72,12 @@ if [ "${BENCH_SKIP_REGRESSION:-0}" != "1" ] && [ -f BENCH_PR6.json ] && [ "$out"
     go run ./scripts/benchcmp BENCH_PR6.json "$out"
 fi
 if [ "${BENCH_SKIP_REGRESSION:-0}" != "1" ] && [ -f BENCH_PR7.json ] && [ "$out" != "BENCH_PR7.json" ]; then
-    echo "== regression guard: BenchmarkGroupedAgg vs BENCH_PR7.json =="
-    go run ./scripts/benchcmp -prefix BenchmarkGroupedAgg BENCH_PR7.json "$out"
+    echo "== regression guard: BenchmarkGroupedAgg/grouped-on vs BENCH_PR7.json =="
+    go run ./scripts/benchcmp -prefix BenchmarkGroupedAgg/grouped-on BENCH_PR7.json "$out"
 fi
 if [ "${BENCH_SKIP_REGRESSION:-0}" != "1" ] && [ -f BENCH_PR10.json ] && [ "$out" != "BENCH_PR10.json" ]; then
-    echo "== regression guard: BenchmarkGroupedFiltered vs BENCH_PR10.json =="
-    go run ./scripts/benchcmp -prefix BenchmarkGroupedFiltered BENCH_PR10.json "$out"
+    echo "== regression guard: BenchmarkGroupedFiltered/grouped-on vs BENCH_PR10.json =="
+    go run ./scripts/benchcmp -prefix BenchmarkGroupedFiltered/grouped-on BENCH_PR10.json "$out"
 fi
 if [ "${BENCH_SKIP_REGRESSION:-0}" != "1" ] && [ -f BENCH_PR12.json ] && [ "$out" != "BENCH_PR12.json" ]; then
     echo "== regression guard: BenchmarkAnalyzerParallelism ns/op and bytes/op vs BENCH_PR12.json =="

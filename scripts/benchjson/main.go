@@ -69,13 +69,6 @@ type record struct {
 	// path. The bench also records the allocs/op of both arms; the
 	// compressed path must win both.
 	CompressedDomainSpeedup float64 `json:"compressed_domain_speedup_off_over_on,omitempty"`
-	// GroupedAggSpeedup is grouped-off-ns/grouped-on-ns of
-	// BenchmarkGroupedAgg — the grouped-execution headline: the full
-	// unfiltered characterization with aggregation running on dictionary
-	// codes and key-column runs vs the same analyzer with the grouped path
-	// disabled. Outputs are byte-identical; the grouped arm must also hold
-	// allocs/op at or below the off arm.
-	GroupedAggSpeedup float64 `json:"grouped_agg_speedup_off_over_on,omitempty"`
 }
 
 func main() {
@@ -103,7 +96,6 @@ func main() {
 	var seqNs, parNs, v1Ns, v2ParNs, fullNs, prunedNs, projNs float64
 	var v21FlateNs, v22AutoNs, v21FlateBytes, v22AutoBytes float64
 	var kernelsOnNs, kernelsOffNs float64
-	var groupedOnNs, groupedOffNs float64
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
@@ -162,10 +154,6 @@ func main() {
 			kernelsOnNs = ns
 		case strings.HasPrefix(r.Name, "BenchmarkCompressedDomain/kernels-off"):
 			kernelsOffNs = ns
-		case strings.HasPrefix(r.Name, "BenchmarkGroupedAgg/grouped-on"):
-			groupedOnNs = ns
-		case strings.HasPrefix(r.Name, "BenchmarkGroupedAgg/grouped-off"):
-			groupedOffNs = ns
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -192,9 +180,6 @@ func main() {
 	}
 	if kernelsOnNs > 0 && kernelsOffNs > 0 {
 		rec.CompressedDomainSpeedup = kernelsOffNs / kernelsOnNs
-	}
-	if groupedOnNs > 0 && groupedOffNs > 0 {
-		rec.GroupedAggSpeedup = groupedOffNs / groupedOnNs
 	}
 	out, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {

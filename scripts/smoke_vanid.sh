@@ -99,10 +99,10 @@ echo "$METRICS"
 HITS="$(printf '%s' "$METRICS" | sed -n 's/.*"cache_hits": *\([0-9]*\).*/\1/p')"
 [ "${HITS:-0}" -ge 1 ] || { echo "FAIL: no cache hit recorded"; exit 1; }
 
-echo "== grouped/accumulator scan counters exposed in /metrics =="
+echo "== key-span/accumulator scan counters exposed in /metrics =="
 # The upload ran a filtered scan (window + ranks), so at least one
-# selection-backed chunk must have been re-cut and served by grouped
-# execution, and every chunk pass ticks the run-aware accumulator
+# selection-backed chunk must have been re-cut and served by key
+# spans, and every chunk pass ticks the run-aware accumulator
 # counters one way or the other (served is codec-dependent).
 GF_SERVED="$(printf '%s' "$METRICS" | sed -n 's/.*"scan_group_filtered_served": *\([0-9]*\).*/\1/p')"
 TL_SERVED="$(printf '%s' "$METRICS" | sed -n 's/.*"scan_tl_kernels_served": *\([0-9]*\).*/\1/p')"
@@ -110,7 +110,7 @@ TL_FALLBACK="$(printf '%s' "$METRICS" | sed -n 's/.*"scan_tl_kernels_fallback": 
 [ -n "$GF_SERVED" ] || { echo "FAIL: scan_group_filtered_served missing from /metrics"; exit 1; }
 [ -n "$TL_SERVED" ] || { echo "FAIL: scan_tl_kernels_served missing from /metrics"; exit 1; }
 [ "${GF_SERVED:-0}" -ge 1 ] || {
-  echo "FAIL: filtered scan served no grouped chunk (scan_group_filtered_served=$GF_SERVED)"; exit 1
+  echo "FAIL: filtered scan served no key-span chunk (scan_group_filtered_served=$GF_SERVED)"; exit 1
 }
 [ "$((TL_SERVED + TL_FALLBACK))" -ge 1 ] || {
   echo "FAIL: no timeline/histogram accumulator passes recorded"; exit 1
