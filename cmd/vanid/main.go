@@ -47,6 +47,7 @@ func main() {
 	cacheBytes := flag.Int64("cache-bytes", 0, "decoded-block cache budget in bytes (0 = 256 MiB default, negative disables)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time to drain jobs on shutdown before aborting them")
 	pprofOn := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ (off by default)")
+	maxUpload := flag.Int64("max-upload", server.DefaultMaxUpload, "largest trace upload body in bytes; longer uploads get 413")
 	flag.Parse()
 
 	srv, err := server.New(server.Config{
@@ -62,6 +63,7 @@ func main() {
 		Parallelism:  *par,
 		CacheBytes:   *cacheBytes,
 		EnablePprof:  *pprofOn,
+		MaxUpload:    *maxUpload,
 	})
 	if err != nil {
 		log.Fatalf("vanid: %v", err)

@@ -63,92 +63,73 @@ func runBounds(ri int) (lo, hi int64) {
 	return math.MinInt32, math.MaxInt32
 }
 
-// captureRuns snapshots the value-run summaries of the run columns from a
-// whole-block chunk (sel == nil: chunk rows are exactly the block's rows,
-// in order): RLE runs directly, dict segments as coalesced code runs. Runs
-// whose values would fail the column's decode validation are dropped, so a
-// captured summary always agrees with the materialized column; so are
-// summaries denser than one run per four rows, where run iteration stops
-// paying for itself and the expanded summary would out-weigh the column.
-func (c *Chunk) captureRuns(bd *trace.BlockData) {
-	if c.N < 4 {
-		return // no summary can pass the one-run-per-four-rows cap
+// runScratch is one scan worker's run-capture buffers, one per run column,
+// reused across every chunk the worker builds so a column that fails the
+// capture leaves no garbage behind.
+type runScratch [numRunCols][]trace.Run
+
+// captureRuns snapshots the value-run summaries of the key run columns from
+// a v2.2 block: RLE runs directly, dict and FOR segments as coalesced value
+// runs. spans == nil means a whole-block chunk (chunk rows are exactly the
+// block's rows, in order); otherwise each column's block runs are re-cut
+// against the selection's spans (SegCursor.CutRunsSel, the streaming fusion
+// of trace.CutRuns into the segment decode), so the summary covers exactly
+// the chunk's kept rows in kept order. Only key spans read a summary, and
+// they need all five, so capture is all or nothing: the columns are walked
+// in keyRunCols order — rank first, the column most often over the cap —
+// and the first one that is denser than one run per four rows, or holds a
+// value its decode validation would reject, ends the capture with no
+// summary kept. Each column is walked once into the worker's scratch; only
+// when all five pass are they copied out, into one exact-size slice. It
+// reports whether the chunk got its summaries.
+func (c *Chunk) captureRuns(bd *trace.BlockData, spans []trace.SelSpan, s *runScratch) bool {
+	maxRuns := c.N / 4 // the density cap, pushed down into the decode
+	if maxRuns == 0 {
+		return false // fewer than 4 rows: no summary can pass the cap
 	}
-	for ri := 0; ri < numRunCols; ri++ {
-		idx := bits.TrailingZeros64(uint64(runColSet(ri)))
-		cur, err := bd.SegCursorAt(idx)
+	var codecs [numRunCols]uint8
+	total := 0
+	for _, ri := range keyRunCols {
+		cur, err := bd.SegCursorAt(bits.TrailingZeros64(uint64(runColSet(ri))))
 		if err != nil || cur == nil {
-			continue
+			return false
 		}
-		// Density cap pushed into the decode: a summary denser than one
-		// run per four rows would be dropped below anyway, so stop
-		// materializing the moment it crosses the line.
-		runs, ok := cur.AppendRunsMax(nil, c.N/4)
-		codec := cur.Codec()
+		var runs []trace.Run
+		var ok bool
+		if spans == nil {
+			runs, ok = cur.AppendRunsMax(s[ri][:0], maxRuns)
+		} else {
+			runs, ok = cur.CutRunsSel(spans, s[ri][:0], maxRuns)
+		}
+		codecs[ri] = cur.Codec()
 		cur.Release()
-		if !ok || len(runs) == 0 {
-			continue
+		if cap(runs) > cap(s[ri]) {
+			s[ri] = runs[:0] // keep the grown buffer for the next chunk
 		}
-		lo, hi := runBounds(ri)
-		valid := true
-		for _, r := range runs {
-			if r.Val < lo || r.Val > hi {
-				valid = false
-				break
-			}
+		if !ok || len(runs) == 0 || !runsInBounds(ri, runs) {
+			return false
 		}
-		if valid {
-			c.runs[ri] = runs
-			c.runCodec[ri] = codec
-		}
+		s[ri] = runs
+		total += len(runs)
 	}
+	all := make([]trace.Run, total)
+	off := 0
+	for _, ri := range keyRunCols {
+		n := copy(all[off:], s[ri])
+		c.runs[ri] = all[off : off+n : off+n]
+		c.runCodec[ri] = codecs[ri]
+		off += n
+	}
+	return true
 }
 
-// captureRunsSel is captureRuns for selection-backed chunks: each run
-// column's block-level value runs are re-cut against the selection's spans
-// (SegCursor.CutRunsSel, the streaming fusion of trace.CutRuns into the
-// segment decode), so the captured summary covers exactly the chunk's kept
-// rows in kept order. The same decode-validation bounds and density cap
-// apply, with the cap measured against the kept row count. It reports
-// whether every stable key column ended up with a summary — the condition
-// for key spans to serve the analyzer's passes on this filtered chunk.
-func (c *Chunk) captureRunsSel(bd *trace.BlockData, spans []trace.SelSpan) bool {
-	maxRuns := c.N / 4 // the density cap, pushed down into the cut
-	if maxRuns == 0 {
-		return false // fewer than 4 kept rows: no summary can pass the cap
-	}
-	for ri := 0; ri < numRunCols; ri++ {
-		idx := bits.TrailingZeros64(uint64(runColSet(ri)))
-		cur, err := bd.SegCursorAt(idx)
-		if err != nil || cur == nil {
-			continue
-		}
-		// The cut streams fused into the segment decode: the block-level
-		// run list never materializes, so a column that is block-dense
-		// but selection-sparse (rank after the k-way merge under a narrow
-		// window, say) serves at O(kept runs) extra memory, while a
-		// column still over the cap abandons the walk at maxRuns+1.
-		runs, ok := cur.CutRunsSel(spans, nil, maxRuns)
-		codec := cur.Codec()
-		cur.Release()
-		if !ok || len(runs) == 0 {
-			continue
-		}
-		lo, hi := runBounds(ri)
-		valid := true
-		for _, r := range runs {
-			if r.Val < lo || r.Val > hi {
-				valid = false
-				break
-			}
-		}
-		if valid {
-			c.runs[ri] = runs
-			c.runCodec[ri] = codec
-		}
-	}
-	for _, ri := range keyRunCols {
-		if c.runs[ri] == nil {
+// runsInBounds reports whether every run value passes run column ri's
+// decode validation, so a captured summary always agrees with the
+// materialized column.
+func runsInBounds(ri int, runs []trace.Run) bool {
+	lo, hi := runBounds(ri)
+	for _, r := range runs {
+		if r.Val < lo || r.Val > hi {
 			return false
 		}
 	}

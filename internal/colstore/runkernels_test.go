@@ -1,7 +1,9 @@
 package colstore
 
 import (
+	"math/bits"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -174,5 +176,61 @@ func TestScanStatsCodecMix(t *testing.T) {
 	s21 := stats21.Snapshot()
 	if n := s21.SegRaw + s21.SegRLE + s21.SegDict + s21.SegFOR; n != 0 {
 		t.Fatalf("v2.1 log tallied %d segments, want 0", n)
+	}
+}
+
+// TestCaptureRunsAllOrNothing: a block whose rank column alternates per
+// row (over the one-run-per-four-rows cap) leaves its chunk no summary on
+// any column and, once the worker's scratch is warm, allocates nothing; a
+// block whose five key columns are under the cap keeps, per column, exactly
+// the column's own run list, in one allocation.
+func TestCaptureRunsAllOrNothing(t *testing.T) {
+	over := trace.NewTracer()
+	app, file := over.AppID("app"), over.FileID("/f")
+	for i := 0; i < ChunkRows; i++ {
+		over.Record(trace.Event{Level: trace.LevelPosix, Op: trace.OpWrite, Rank: int32(i % 2),
+			App: app, File: file, Size: 8, Start: time.Duration(i), End: time.Duration(i + 1)})
+	}
+	for _, tc := range []struct {
+		name   string
+		tr     *trace.Trace
+		served bool
+		allocs float64
+	}{
+		{"rank-over-cap", over.Finish(), false, 0},
+		{"under-cap", groupTrace(1), true, 1},
+	} {
+		for _, codec := range []trace.CodecMode{trace.CodecAuto, trace.CodecForceRLE, trace.CodecForceDict, trace.CodecForceFOR} {
+			br := blockReaderFor(t, tc.tr, trace.V2Options{Codec: codec})
+			bd, err := br.ReadBlock(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var s runScratch
+			c := &Chunk{N: bd.Count()}
+			if got := c.captureRuns(bd, nil, &s); got != tc.served {
+				t.Fatalf("%s/%v: captureRuns = %v, want %v", tc.name, codec, got, tc.served)
+			}
+			for _, ri := range keyRunCols {
+				cur, err := bd.SegCursorAt(bits.TrailingZeros64(uint64(runColSet(ri))))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := cur.AppendRuns(nil)
+				cur.Release()
+				if !tc.served {
+					want = nil
+				}
+				if !reflect.DeepEqual(c.runs[ri], want) {
+					t.Fatalf("%s/%v: run column %d summary %v, want %v", tc.name, codec, ri, c.runs[ri], want)
+				}
+			}
+			if allocs := testing.AllocsPerRun(20, func() {
+				*c = Chunk{N: bd.Count()}
+				c.captureRuns(bd, nil, &s)
+			}); allocs != tc.allocs {
+				t.Errorf("%s/%v: %v allocs per capture, want %v", tc.name, codec, allocs, tc.allocs)
+			}
+		}
 	}
 }

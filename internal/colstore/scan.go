@@ -364,7 +364,8 @@ func FromBlocksSpecContext(ctx context.Context, src trace.BlockSource, par int, 
 	fcols := spec.Filter.Cols()
 	chunks := make([]*Chunk, nb)
 	errs := make([]error, nb)
-	parallel.ForEach(par, nb, func(k int) {
+	scratch := make([]runScratch, parallel.Workers(par, nb))
+	parallel.ForEachWorker(par, nb, func(w, k int) {
 		if errs[k] = ctx.Err(); errs[k] != nil {
 			return
 		}
@@ -407,7 +408,7 @@ func FromBlocksSpecContext(ctx context.Context, src trace.BlockSource, par int, 
 				}
 				ck.adopt(&cols, nil, lz.have)
 			}
-			ck.captureRuns(bd)
+			ck.captureRuns(bd, nil, &scratch[w])
 			if lz.have != trace.AllCols {
 				ck.lazy = lz
 			}
@@ -499,7 +500,7 @@ func FromBlocksSpecContext(ctx context.Context, src trace.BlockSource, par int, 
 			have |= syn.set
 		}
 		if sel == nil {
-			ck.captureRuns(bd)
+			ck.captureRuns(bd, nil, &scratch[w])
 		} else if KernelsEnabled() {
 			// Selection-backed chunk: re-cut the block's value runs against
 			// the selection's spans so key spans serve filtered chunks too.
@@ -509,7 +510,7 @@ func FromBlocksSpecContext(ctx context.Context, src trace.BlockSource, par int, 
 			if selSpans == nil {
 				selSpans = trace.AppendSelSpans(sel, nil)
 			}
-			if ck.captureRunsSel(bd, selSpans) {
+			if ck.captureRuns(bd, selSpans, &scratch[w]) {
 				stats.GroupFilteredServed.Add(1)
 			} else {
 				stats.GroupFilteredFallback.Add(1)

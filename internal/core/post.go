@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"time"
 
@@ -131,19 +132,47 @@ func (sc *sizeCounts) dominant() int64 {
 // phase tallies one I/O phase's primary rows. In a pass-3 partial it holds
 // the part of a phase that falls in one chunk; cont marks a part that
 // continues the phase open at the chunk's start instead of opening one.
-// Rows arrive in Start order, so minS is the first row's Start.
+// Rows arrive in Start order, so minS is the first row's Start. ranks lists
+// the part's distinct ranks, deduplicated through a rankStamp under id.
 type phase struct {
 	cont                         bool
 	n, data, meta, reads, writes int64
 	bytes, minS, maxE            int64
-	rank                         int32 // last rank added: the set changes only when it does
-	ranks                        map[int32]struct{}
+	id                           uint32 // the part's stamp in its rankStamp
+	rank                         int32  // last rank added: the list changes only when it does
+	ranks                        []int32
 	sizes                        [2]sizeCounts // read, write
 }
 
-func (ph *phase) add(op trace.Op, size, end int64, rank int32) {
+// rankStamp deduplicates phase rank lists without a set per phase:
+// stamp[r] is the id of the last phase that listed rank r, and every phase
+// draws a fresh id. Ranks index it directly — pass 1 bounds them by
+// dims.ranks before pass 3 runs.
+type rankStamp struct {
+	stamp []uint32
+	id    uint32
+}
+
+func newRankStamp(ranks int) rankStamp { return rankStamp{stamp: make([]uint32, ranks)} }
+
+// next returns a fresh phase id. Every phase part holds at least one row,
+// so ids cannot wrap before the table outgrows memory.
+func (rs *rankStamp) next() uint32 {
+	rs.id++
+	return rs.id
+}
+
+// list appends rank to ph.ranks unless ph already lists it.
+func (rs *rankStamp) list(ph *phase, rank int32) {
+	if rs.stamp[rank] != ph.id {
+		rs.stamp[rank] = ph.id
+		ph.ranks = append(ph.ranks, rank)
+	}
+}
+
+func (ph *phase) add(rs *rankStamp, op trace.Op, size, end int64, rank int32) {
 	if ph.n == 0 || rank != ph.rank {
-		ph.ranks[rank] = struct{}{}
+		rs.list(ph, rank)
 		ph.rank = rank
 	}
 	ph.n++
@@ -164,7 +193,9 @@ func (ph *phase) add(op trace.Op, size, end int64, rank int32) {
 	}
 }
 
-func (ph *phase) merge(o *phase) {
+// merge folds a later part of the same phase into ph, whose ranks rs has
+// stamped with ph.id.
+func (ph *phase) merge(rs *rankStamp, o *phase) {
 	ph.n += o.n
 	ph.data += o.data
 	ph.meta += o.meta
@@ -172,8 +203,8 @@ func (ph *phase) merge(o *phase) {
 	ph.writes += o.writes
 	ph.bytes += o.bytes
 	ph.maxE = max(ph.maxE, o.maxE)
-	for r := range o.ranks {
-		ph.ranks[r] = struct{}{}
+	for _, r := range o.ranks {
+		rs.list(ph, r)
 	}
 	ph.sizes[0].merge(&o.sizes[0])
 	ph.sizes[1].merge(&o.sizes[1])
@@ -208,19 +239,21 @@ func (ph *phase) entity(idx int) IOPhaseEntity {
 // inter-I/O threshold), and ioTime sums the part of each row's [Start, End)
 // not already covered — the interval union, since earlier rows never start
 // later. seen and runMax carry in from earlier chunks: whether a primary
-// row precedes, and the max End over those rows.
+// row precedes, and the max End over those rows. ranks is the scanning
+// worker's rank stamp.
 type phaseScan struct {
 	gap    int64
 	seen   bool
 	runMax int64
 	ioTime int64
 	parts  []*phase
+	ranks  *rankStamp
 }
 
 func (ps *phaseScan) add(op trace.Op, size, start, end int64, rank int32) {
 	split := ps.seen && start-max(ps.runMax, 0) > ps.gap
 	if split || len(ps.parts) == 0 {
-		ps.parts = append(ps.parts, &phase{cont: ps.seen && !split, minS: start, ranks: map[int32]struct{}{}})
+		ps.parts = append(ps.parts, &phase{cont: ps.seen && !split, minS: start, id: ps.ranks.next()})
 	}
 	switch {
 	case !ps.seen || start > ps.runMax:
@@ -232,37 +265,82 @@ func (ps *phaseScan) add(op trace.Op, size, start, end int64, rank int32) {
 		ps.runMax = end
 	}
 	ps.seen = true
-	ps.parts[len(ps.parts)-1].add(op, size, end, rank)
+	ps.parts[len(ps.parts)-1].add(ps.ranks, op, size, end, rank)
 }
 
 // streams classifies data-row offsets per (file, rank) stream in row
-// order: a step is sequential when the offset does not decrease. A pass-3
-// partial keeps each stream's first and last offset so the merge can count
-// the step across the chunk edge. The current stream is cached, so the map
-// is touched only when the stream key changes.
+// order: a step is sequential when the offset does not decrease. recs holds
+// one record per stream in first-seen order; a pass-3 partial keeps each
+// stream's first and last offset so the merge can count the step across
+// the chunk edge. Records are found through a streamIndex.
 type streams struct {
-	m   map[streamKey]*stream
-	key streamKey
-	cur *stream
+	recs []stream
+}
+
+type stream struct {
+	file, rank              int32
+	first, last, seq, total int64
 }
 
 type streamKey struct{ file, rank int32 }
 
-type stream struct{ first, last, seq, total int64 }
+// streamIndex finds a streams' record by (file, rank) without hashing in
+// the common case: head[rank] is 1 + the index of the rank's most recent
+// record (0: none), and only ranks that switch files spill every record
+// they own into the (file, rank) map. Ranks index head directly — pass 1
+// bounds them by dims.ranks before pass 3 runs.
+type streamIndex struct {
+	head  []int32
+	spill map[streamKey]int32
+}
 
-func (ss *streams) add(file, rank int32, off int64) {
-	if k := (streamKey{file, rank}); ss.cur == nil || k != ss.key {
-		ss.key, ss.cur = k, ss.m[k]
-		if ss.cur == nil {
-			if ss.m == nil {
-				ss.m = map[streamKey]*stream{}
-			}
-			ss.cur = &stream{first: off, last: off}
-			ss.m[k] = ss.cur
-			return
-		}
+func newStreamIndex(ranks int) streamIndex { return streamIndex{head: make([]int32, ranks)} }
+
+// lookup returns the index of ss's record for (file, rank), or -1 after
+// indexing the record the caller must append next.
+func (ix *streamIndex) lookup(ss *streams, file, rank int32) int {
+	h := ix.head[rank] - 1
+	if h >= 0 && ss.recs[h].file == file {
+		return int(h)
 	}
-	st := ss.cur
+	n := int32(len(ss.recs))
+	if h < 0 {
+		ix.head[rank] = n + 1
+		return -1
+	}
+	// The rank switches files: every record it owns goes in the spill map.
+	if ix.spill == nil {
+		ix.spill = map[streamKey]int32{}
+	}
+	ix.spill[streamKey{ss.recs[h].file, rank}] = h
+	i, ok := ix.spill[streamKey{file, rank}]
+	if !ok {
+		i = n
+		ix.spill[streamKey{file, rank}] = n
+	}
+	ix.head[rank] = i + 1
+	if !ok {
+		return -1
+	}
+	return int(i)
+}
+
+// reset empties the index of ss's records, leaving it ready for another
+// streams.
+func (ix *streamIndex) reset(ss *streams) {
+	for i := range ss.recs {
+		ix.head[ss.recs[i].rank] = 0
+	}
+	clear(ix.spill)
+}
+
+func (ss *streams) add(ix *streamIndex, file, rank int32, off int64) {
+	i := ix.lookup(ss, file, rank)
+	if i < 0 {
+		ss.recs = append(ss.recs, stream{file: file, rank: rank, first: off, last: off})
+		return
+	}
+	st := &ss.recs[i]
 	st.total++
 	if off >= st.last {
 		st.seq++
@@ -271,16 +349,14 @@ func (ss *streams) add(file, rank int32, off int64) {
 }
 
 // merge appends a later chunk's streams.
-func (ss *streams) merge(o *streams) {
-	for k, p := range o.m {
-		st := ss.m[k]
-		if st == nil {
-			if ss.m == nil {
-				ss.m = map[streamKey]*stream{}
-			}
-			ss.m[k] = p
+func (ss *streams) merge(ix *streamIndex, o *streams) {
+	for _, p := range o.recs {
+		i := ix.lookup(ss, p.file, p.rank)
+		if i < 0 {
+			ss.recs = append(ss.recs, p)
 			continue
 		}
+		st := &ss.recs[i]
 		st.total += p.total + 1
 		st.seq += p.seq
 		if p.first >= st.last {
@@ -294,7 +370,7 @@ func (ss *streams) merge(o *streams) {
 // streams are sequential (or there are none), else "Random".
 func (ss *streams) pattern() string {
 	var seq, total int64
-	for _, st := range ss.m {
+	for _, st := range ss.recs {
 		seq += st.seq
 		total += st.total
 	}
@@ -336,13 +412,48 @@ func (t *appTally) merge(o *appTally) {
 	}
 }
 
-// post3 is the per-chunk partial of pass 3.
+// post3 is the per-chunk partial of pass 3: the order-sensitive parts.
 type post3 struct {
 	phases       phaseScan
 	primStreams  streams
 	posixStreams streams
-	posixSizes   [2]sizeCounts
-	apps         map[int32]*appTally
+}
+
+// post3Worker is one pass-3 worker's state: the order-free partials it
+// folds every chunk it draws into — per-app tallies by app id, POSIX size
+// counts — and the rank-indexed scratch its chunk partials are built with.
+type post3Worker struct {
+	apps       []*appTally // by app id; nil = no primary row seen
+	posixSizes [2]sizeCounts
+	ranks      rankStamp
+	ix         streamIndex
+	recs       []stream // stream records under construction
+}
+
+// beginStreams starts one chunk's stream records in the worker's buffer.
+func (pw *post3Worker) beginStreams() streams { return streams{recs: pw.recs[:0]} }
+
+// endStreams returns an exact-size copy of the records begun by
+// beginStreams, keeping the buffer and leaving the index empty again.
+func (pw *post3Worker) endStreams(ss *streams) streams {
+	pw.ix.reset(ss)
+	pw.recs = ss.recs[:0]
+	return streams{recs: slices.Clone(ss.recs)}
+}
+
+// mergeStreams concatenates the chunk partials of one stream kind in
+// chunk order through ix, leaving ix empty again.
+func mergeStreams(ix *streamIndex, parts []post3, get func(p *post3) *streams) streams {
+	n := 0
+	for k := range parts {
+		n += len(get(&parts[k]).recs)
+	}
+	out := streams{recs: make([]stream, 0, n)}
+	for k := range parts {
+		out.merge(ix, get(&parts[k]))
+	}
+	ix.reset(&out)
+	return out
 }
 
 // postScan runs pass 3 over the selections pass 2 left in a.sels and
@@ -371,15 +482,15 @@ func (a *analysis) postScan() error {
 		run.seen = true
 	}
 
+	d := &a.dims
 	errs := make([]error, nchunks)
-	parts := make([]*post3, nchunks)
-	parallel.ForEach(a.par, nchunks, func(k int) {
+	parts := make([]post3, nchunks)
+	workers := make([]*post3Worker, parallel.Workers(a.par, nchunks))
+	parallel.ForEachWorker(a.par, nchunks, func(w, k int) {
 		if errs[k] = a.ctx.Err(); errs[k] != nil {
 			return
 		}
 		sel := &a.sels[k]
-		p := &post3{phases: scans[k], apps: map[int32]*appTally{}}
-		parts[k] = p
 		if sel.nPrim == 0 && sel.nPosix == 0 {
 			return
 		}
@@ -387,44 +498,52 @@ func (a *analysis) postScan() error {
 		if errs[k] = c.Require(postCols); errs[k] != nil {
 			return
 		}
-		var app int32
-		var at *appTally
-		for w, word := range sel.prim {
+		pw := workers[w]
+		if pw == nil {
+			pw = &post3Worker{apps: make([]*appTally, d.apps), ranks: newRankStamp(d.ranks), ix: newStreamIndex(d.ranks)}
+			workers[w] = pw
+		}
+		p := &parts[k]
+		p.phases = scans[k]
+		p.phases.ranks = &pw.ranks
+		ss := pw.beginStreams()
+		for wi, word := range sel.prim {
 			for ; word != 0; word &= word - 1 {
-				j := w<<6 | bits.TrailingZeros64(word)
+				j := wi<<6 | bits.TrailingZeros64(word)
 				op := trace.Op(c.Op[j])
 				if ordered {
 					p.phases.add(op, c.Size[j], c.Start[j], c.End[j], c.Rank[j])
 				}
 				if op.IsData() && c.File[j] >= 0 {
-					p.primStreams.add(c.File[j], c.Rank[j], c.Offset[j])
+					ss.add(&pw.ix, c.File[j], c.Rank[j], c.Offset[j])
 				}
-				if at == nil || c.App[j] != app {
-					app, at = c.App[j], p.apps[c.App[j]]
-					if at == nil {
-						at = &appTally{minS: math.MaxInt64}
-						p.apps[app] = at
-					}
+				at := pw.apps[c.App[j]]
+				if at == nil {
+					at = &appTally{minS: math.MaxInt64}
+					pw.apps[c.App[j]] = at
 				}
 				at.add(op, c.Size[j], c.Start[j], c.End[j], c.Lib[j])
 			}
 		}
-		for w, word := range sel.posix {
+		p.primStreams = pw.endStreams(&ss)
+		ss = pw.beginStreams()
+		for wi, word := range sel.posix {
 			for ; word != 0; word &= word - 1 {
-				j := w<<6 | bits.TrailingZeros64(word)
+				j := wi<<6 | bits.TrailingZeros64(word)
 				switch trace.Op(c.Op[j]) {
 				case trace.OpRead:
-					p.posixSizes[0].add(c.Size[j])
+					pw.posixSizes[0].add(c.Size[j])
 				case trace.OpWrite:
-					p.posixSizes[1].add(c.Size[j])
+					pw.posixSizes[1].add(c.Size[j])
 				default:
 					continue
 				}
 				if c.File[j] >= 0 {
-					p.posixStreams.add(c.File[j], c.Rank[j], c.Offset[j])
+					ss.add(&pw.ix, c.File[j], c.Rank[j], c.Offset[j])
 				}
 			}
 		}
+		p.posixStreams = pw.endStreams(&ss)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -432,32 +551,59 @@ func (a *analysis) postScan() error {
 		}
 	}
 
+	// The merge reuses the first worker's rank-indexed scratch: its index
+	// is empty, and its stamp's later ids never match an earlier stamp.
+	// With no worker (no chunk had rows) there is nothing to merge into.
+	var mw *post3Worker
+	for _, pw := range workers {
+		if pw != nil {
+			mw = pw
+			break
+		}
+	}
+	if mw == nil {
+		mw = &post3Worker{ranks: newRankStamp(d.ranks), ix: newStreamIndex(d.ranks)}
+	}
+	// Phase parts merge in chunk order: a cont part joins the phase before
+	// it, its ranks unioned under the merge worker's stamp.
 	var phases []*phase
 	var ioTime int64
+	ms := &mw.ranks
 	collect := func(ps *phaseScan) {
 		ioTime += ps.ioTime
 		for _, ph := range ps.parts {
 			if ph.cont {
-				phases[len(phases)-1].merge(ph)
-			} else {
-				phases = append(phases, ph)
+				phases[len(phases)-1].merge(ms, ph)
+				continue
 			}
+			ph.id = ms.next()
+			for _, r := range ph.ranks {
+				ms.stamp[r] = ph.id
+			}
+			phases = append(phases, ph)
 		}
 	}
-	a.appTallies = make([]*appTally, a.dims.apps)
-	for _, p := range parts {
-		if ordered {
-			collect(&p.phases)
+	if ordered {
+		for k := range parts {
+			collect(&parts[k].phases)
 		}
-		a.primStreams.merge(&p.primStreams)
-		a.posixStreams.merge(&p.posixStreams)
-		a.posixSizes[0].merge(&p.posixSizes[0])
-		a.posixSizes[1].merge(&p.posixSizes[1])
-		for app, t := range p.apps {
-			if cur := a.appTallies[app]; cur != nil {
-				cur.merge(t)
-			} else {
+	}
+	a.primStreams = mergeStreams(&mw.ix, parts, func(p *post3) *streams { return &p.primStreams })
+	a.posixStreams = mergeStreams(&mw.ix, parts, func(p *post3) *streams { return &p.posixStreams })
+	a.appTallies = make([]*appTally, d.apps)
+	for _, pw := range workers {
+		if pw == nil {
+			continue
+		}
+		a.posixSizes[0].merge(&pw.posixSizes[0])
+		a.posixSizes[1].merge(&pw.posixSizes[1])
+		for app, t := range pw.apps {
+			switch cur := a.appTallies[app]; {
+			case t == nil:
+			case cur == nil:
 				a.appTallies[app] = t
+			default:
+				cur.merge(t)
 			}
 		}
 	}
@@ -493,7 +639,8 @@ func (a *analysis) sortedPhases() phaseScan {
 		}
 	}
 	sort.SliceStable(refs, func(x, y int) bool { return refs[x].start < refs[y].start })
-	ps := phaseScan{gap: int64(a.opt.PhaseGap)}
+	rs := newRankStamp(a.dims.ranks)
+	ps := phaseScan{gap: int64(a.opt.PhaseGap), ranks: &rs}
 	for _, r := range refs {
 		c, j := a.tb.ChunkAt(int(r.k)), int(r.j)
 		ps.add(trace.Op(c.Op[j]), c.Size[j], r.start, c.End[j], c.Rank[j])

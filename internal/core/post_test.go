@@ -457,6 +457,34 @@ func edgeUnsortedTrace() *trace.Trace {
 	return tr
 }
 
+// interleavedTrace gives postTrace's rank 0 — whose runs straddle every
+// chunk edge — three files in rotation, so its (file, rank) streams
+// interleave within a chunk and across chunk edges, and renames every other
+// rank-7 row to rank 11, past Meta.Ranks.
+func interleavedTrace() *trace.Trace {
+	tr := postTrace()
+	shared := int32(len(tr.Files)) - 2 // FileID order: shared, then own
+	files := []int32{shared}
+	for _, name := range []string{"/p/x1.h5", "/p/x2.h5"} {
+		fi := tr.Files[shared]
+		fi.Path = name
+		tr.Files = append(tr.Files, fi)
+		files = append(files, int32(len(tr.Files)-1))
+	}
+	evs := append([]trace.Event(nil), tr.Events...)
+	for i := range evs {
+		e := &evs[i]
+		if e.Rank == 0 && e.File == shared {
+			e.File = files[i%3]
+		}
+		if e.Rank == 7 && i%2 == 0 {
+			e.Rank = 11
+		}
+	}
+	tr.Events = evs
+	return tr
+}
+
 // analyzeInternal runs the analyzer and returns its internal state too.
 func analyzeInternal(t *testing.T, hdr *trace.Trace, tb *colstore.Table, opt Options) (*Characterization, *analysis) {
 	t.Helper()
@@ -470,7 +498,7 @@ func analyzeInternal(t *testing.T, hdr *trace.Trace, tb *colstore.Table, opt Opt
 }
 
 func stepCounts(ss *streams) (seq, total int64) {
-	for _, st := range ss.m {
+	for _, st := range ss.recs {
 		seq += st.seq
 		total += st.total
 	}
@@ -492,6 +520,7 @@ func TestPostPassesMatchReference(t *testing.T) {
 		{"sorted", postTrace(), true},
 		{"unsorted", unsortedTrace(), false},
 		{"edge-unsorted", edgeUnsortedTrace(), false},
+		{"interleaved", interleavedTrace(), true},
 	} {
 		const gap = time.Millisecond
 		ref := referencePost(tc.tr, gap)
@@ -636,6 +665,39 @@ func TestPostTraceLayout(t *testing.T) {
 		if ea.sels[k].unsorted {
 			t.Errorf("edgeUnsortedTrace: chunk %d is unsorted on its own", k)
 		}
+	}
+	// Phase 2's parts in chunks 1 and 3 share ranks, so its merge must
+	// union rank lists rather than concatenate them.
+	chunkRanks := func(k int) map[int32]bool {
+		rs := map[int32]bool{}
+		c := tb.ChunkAt(k)
+		for j := 0; j < c.N; j++ {
+			if a.sels[k].prim[j>>6]&(1<<(j&63)) != 0 {
+				rs[c.Rank[j]] = true
+			}
+		}
+		return rs
+	}
+	shared := false
+	r3 := chunkRanks(3)
+	for r := range chunkRanks(1) {
+		shared = shared || r3[r]
+	}
+	if !shared {
+		t.Error("phase 2's parts in chunks 1 and 3 share no rank")
+	}
+	il := interleavedTrace()
+	edgeFiles := map[int32]bool{}
+	past := false
+	for i, e := range il.Events {
+		if e.Rank == 0 && i >= C-8 && i < C+8 {
+			edgeFiles[e.File] = true
+		}
+		past = past || int(e.Rank) >= il.Meta.Ranks
+	}
+	if len(edgeFiles) < 3 || !past {
+		t.Errorf("interleavedTrace: rank 0 touches %d files across the chunk 0/1 edge (want 3), a rank past Meta.Ranks: %v",
+			len(edgeFiles), past)
 	}
 	crossed := false
 	for k := 1; k < len(a.sels); k++ {

@@ -79,7 +79,13 @@ type Config struct {
 	// hot spots are profileable in the running service. Off by default: the
 	// endpoints expose internals and cost CPU, so they are opt-in.
 	EnablePprof bool
+	// MaxUpload bounds one trace upload's body in bytes (default 1 GiB);
+	// a longer body is refused with 413 and leaves nothing on disk.
+	MaxUpload int64
 }
+
+// DefaultMaxUpload is the upload bound Config.MaxUpload defaults to.
+const DefaultMaxUpload = 1 << 30
 
 func (c *Config) fill() error {
 	if c.Workers <= 0 {
@@ -93,6 +99,9 @@ func (c *Config) fill() error {
 	}
 	if c.CacheBytes == 0 {
 		c.CacheBytes = 256 << 20
+	}
+	if c.MaxUpload <= 0 {
+		c.MaxUpload = DefaultMaxUpload
 	}
 	if c.DataDir != "" {
 		// Repository mode: uploads go through the persistent store, no
@@ -303,20 +312,23 @@ func (s *Server) spool(r io.Reader) (path, sha string, err error) {
 // admit stores and validates an upload and resolves its content address.
 // In repository mode the bytes land in the persistent sharded store and the
 // returned handle pins the backing file for the scan's lifetime; in legacy
-// mode they land in the throwaway spool (h is nil). admit answers the
-// request itself (and returns ok=false) on bad input or a cache hit.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request) (loc traceLoc, h *repo.Handle, repID string, f trace.Filter, ok bool) {
+// mode they land in the throwaway spool (h is nil). Bodies longer than
+// MaxUpload are refused with 413. admit answers the request itself (and
+// returns ok=false) on bad input or a cache hit: a sync request gets the
+// cached report, as a miss would, an async one its done job status.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, sync bool) (loc traceLoc, h *repo.Handle, repID string, f trace.Filter, ok bool) {
 	f, err := parseFilter(r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return traceLoc{}, nil, "", trace.Filter{}, false
 	}
+	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxUpload)
 	if s.repo != nil {
-		return s.admitRepo(w, r, f)
+		return s.admitRepo(w, r, f, sync)
 	}
 	path, sha, err := s.spool(r.Body)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, fmt.Sprintf("spooling upload: %v", err))
+		uploadError(w, "spooling upload", err)
 		return traceLoc{}, nil, "", trace.Filter{}, false
 	}
 	format, err := trace.SniffFile(path)
@@ -325,32 +337,55 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (loc traceLoc, h 
 		return traceLoc{}, nil, "", trace.Filter{}, false
 	}
 	repID = reportID(sha, f)
-	if _, hit := s.cache.Get(repID); hit {
-		s.metrics.CacheHits.Add(1)
-		writeJSON(w, http.StatusOK, jobStatus{ReportID: repID, Status: string(jobDone)})
+	if s.answerHit(w, r, repID, sync) {
 		return traceLoc{}, nil, "", trace.Filter{}, false
 	}
 	loc = traceLoc{sha: sha, path: path, v2: format == trace.FormatV2}
 	return loc, nil, repID, f, true
 }
 
+// uploadError answers a failed upload: 413 when the body ran past
+// MaxUpload, 500 otherwise.
+func uploadError(w http.ResponseWriter, what string, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("upload exceeds %d bytes", tooBig.Limit))
+		return
+	}
+	httpError(w, http.StatusInternalServerError, fmt.Sprintf("%s: %v", what, err))
+}
+
+// answerHit serves a report-cache hit for repID, if there is one, and
+// reports whether it did.
+func (s *Server) answerHit(w http.ResponseWriter, r *http.Request, repID string, sync bool) bool {
+	rep, hit := s.cache.Get(repID)
+	if !hit {
+		return false
+	}
+	s.metrics.CacheHits.Add(1)
+	if sync {
+		s.serveReport(w, r, rep)
+	} else {
+		writeJSON(w, http.StatusOK, jobStatus{ReportID: repID, Status: string(jobDone)})
+	}
+	return true
+}
+
 // admitRepo is admit's repository-mode tail: the body goes through
 // Repo.Add (content-addressed, deduplicated, durable) and the trace's
 // current location — loose shard file or pack section — is pinned.
-func (s *Server) admitRepo(w http.ResponseWriter, r *http.Request, f trace.Filter) (loc traceLoc, h *repo.Handle, repID string, _ trace.Filter, ok bool) {
+func (s *Server) admitRepo(w http.ResponseWriter, r *http.Request, f trace.Filter, sync bool) (loc traceLoc, h *repo.Handle, repID string, _ trace.Filter, ok bool) {
 	sha, _, err := s.repo.Add(r.Body)
 	if err != nil {
 		if errors.Is(err, repo.ErrNotTrace) {
 			httpError(w, http.StatusBadRequest, "unrecognized trace format (want VANITRC1 or VANITRC2)")
 		} else {
-			httpError(w, http.StatusInternalServerError, fmt.Sprintf("storing upload: %v", err))
+			uploadError(w, "storing upload", err)
 		}
 		return traceLoc{}, nil, "", trace.Filter{}, false
 	}
 	repID = reportID(sha, f)
-	if _, hit := s.cache.Get(repID); hit {
-		s.metrics.CacheHits.Add(1)
-		writeJSON(w, http.StatusOK, jobStatus{ReportID: repID, Status: string(jobDone)})
+	if s.answerHit(w, r, repID, sync) {
 		return traceLoc{}, nil, "", trace.Filter{}, false
 	}
 	h, err = s.repo.Acquire(sha)
@@ -370,7 +405,7 @@ func (s *Server) admitRepo(w http.ResponseWriter, r *http.Request, f trace.Filte
 // handleUpload is POST /v1/traces: spool, dedupe against the cache and
 // in-flight jobs, then enqueue with backpressure.
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
-	loc, h, repID, f, ok := s.admit(w, r)
+	loc, h, repID, f, ok := s.admit(w, r, false)
 	if !ok {
 		return
 	}
@@ -434,7 +469,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 // client that disconnects or times out aborts the scan mid-trace. Results
 // still land in the shared cache.
 func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
-	loc, h, repID, f, ok := s.admit(w, r)
+	loc, h, repID, f, ok := s.admit(w, r, true)
 	if !ok {
 		return
 	}

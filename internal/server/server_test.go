@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -648,5 +649,100 @@ func TestPprofGating(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("pprof enabled: got %d, want 200", resp.StatusCode)
+	}
+}
+
+// postBody POSTs body and returns the status, content type and full answer.
+func postBody(t *testing.T, ts *httptest.Server, path, accept string, body []byte) (int, string, []byte) {
+	t.Helper()
+	req, _ := http.NewRequest("POST", ts.URL+path, bytes.NewReader(body))
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("POST %s: %v", path, err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body) //nolint:errcheck
+	return resp.StatusCode, resp.Header.Get("Content-Type"), buf.Bytes()
+}
+
+// TestSyncCacheHitServesReport: a repeated synchronous characterization is
+// a report-cache hit answered with the report itself — byte-identical to
+// the first answer, YAML or JSON by Accept — in spool and repository mode.
+func TestSyncCacheHitServesReport(t *testing.T) {
+	body := testTraceBytes(t, trace.FormatV2, 20000)
+	for _, mode := range []string{"spool", "repo"} {
+		cfg := Config{Workers: 1, QueueDepth: 2}
+		if mode == "repo" {
+			cfg.DataDir = t.TempDir()
+		}
+		s := newTestServer(t, cfg)
+		ts := httptest.NewServer(s.Handler())
+		for _, accept := range []string{"", "application/json"} {
+			code, ct1, first := postBody(t, ts, "/v1/characterize?ranks=0-7", accept, body)
+			if code != http.StatusOK {
+				t.Fatalf("%s: first sync POST: status %d: %s", mode, code, first)
+			}
+			hits := getMetrics(t, ts).CacheHits
+			code, ct2, second := postBody(t, ts, "/v1/characterize?ranks=0-7", accept, body)
+			if code != http.StatusOK || ct2 != ct1 || !bytes.Equal(first, second) {
+				t.Errorf("%s accept=%q: cache hit answered %d %s (%d bytes), want %s identical to the miss (%d bytes)",
+					mode, accept, code, ct2, len(second), ct1, len(first))
+			}
+			if got := getMetrics(t, ts).CacheHits; got != hits+1 {
+				t.Errorf("%s accept=%q: cache hits %d, want %d", mode, accept, got, hits+1)
+			}
+		}
+		ts.Close()
+	}
+}
+
+// TestUploadTooLarge: a body past MaxUpload is refused with 413 on both
+// upload endpoints in spool and repository mode, leaves no spool or tmp
+// file behind, and the daemon stays healthy and serves the next upload.
+func TestUploadTooLarge(t *testing.T) {
+	small := testTraceBytes(t, trace.FormatV2, 50)
+	big := testTraceBytes(t, trace.FormatV2, 20000)
+	for _, mode := range []string{"spool", "repo"} {
+		dir := t.TempDir()
+		cfg := Config{Workers: 1, QueueDepth: 2, MaxUpload: int64(len(small))}
+		if mode == "repo" {
+			cfg.DataDir = dir
+		} else {
+			cfg.SpoolDir = dir
+		}
+		s := newTestServer(t, cfg)
+		ts := httptest.NewServer(s.Handler())
+		for _, path := range []string{"/v1/traces", "/v1/characterize"} {
+			if code, _, msg := postBody(t, ts, path, "", big); code != http.StatusRequestEntityTooLarge {
+				t.Errorf("%s %s: oversized body answered %d: %s, want 413", mode, path, code, msg)
+			}
+		}
+		var left []string
+		filepath.WalkDir(dir, func(p string, d os.DirEntry, err error) error { //nolint:errcheck
+			if err == nil && !d.IsDir() && (strings.HasPrefix(d.Name(), "upload-") || strings.HasSuffix(d.Name(), ".part") ||
+				strings.HasSuffix(d.Name(), ".trc")) {
+				left = append(left, p)
+			}
+			return nil
+		})
+		if len(left) > 0 {
+			t.Errorf("%s: oversized uploads left %v", mode, left)
+		}
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: healthz %d after oversized uploads", mode, resp.StatusCode)
+		}
+		if code, _, msg := postBody(t, ts, "/v1/characterize", "", small); code != http.StatusOK {
+			t.Errorf("%s: upload within the bound answered %d: %s", mode, code, msg)
+		}
+		ts.Close()
 	}
 }

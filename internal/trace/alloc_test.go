@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"math/bits"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -102,5 +104,64 @@ func TestDecodeErrorAllocsPerOp(t *testing.T) {
 	})
 	if allocs > 16 {
 		t.Errorf("failing decode allocates %.1f objects/op, want <= 16", allocs)
+	}
+}
+
+// TestMemoDecodeCopiesWantOnly: a warm memo serves a column subset as the
+// same values a direct decode of that subset yields, allocating the subset
+// and nothing more; a non-projectable (row-layout) memo still fills every
+// column, as its direct decode does.
+func TestMemoDecodeCopiesWantOnly(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector skews allocation counts")
+	}
+	tr := allocTrace(3000)
+	for _, tc := range []struct {
+		name string
+		opt  V2Options
+		fill ColSet // the columns one Decode(ColRank|ColSize) fills
+	}{
+		{"projectable", V2Options{}, ColRank | ColSize},
+		{"row-layout", V2Options{RowLayout: true}, AllCols},
+	} {
+		data := encodeV2(t, tr, tc.opt)
+		br, err := NewBlockReader(bytes.NewReader(data), int64(len(data)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := br.ReadBlock(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		memo, err := br.ReadBlock(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		memo.EnableMemo()
+		var warm Columns
+		if _, err := memo.Decode(ColOp, &warm); err != nil {
+			t.Fatal(err)
+		}
+		want := ColRank | ColSize
+		var got, ref Columns
+		if n, err := memo.Decode(want, &got); err != nil || n != 0 {
+			t.Fatalf("%s: memo hit decoded %d bytes, err %v", tc.name, n, err)
+		}
+		if _, err := direct.Decode(want, &ref); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, ref) {
+			t.Fatalf("%s: memo subset differs from a direct decode", tc.name)
+		}
+		if filled := got.End != nil; filled != (tc.fill&ColEnd != 0) {
+			t.Fatalf("%s: End filled = %v, want %v", tc.name, filled, tc.fill&ColEnd != 0)
+		}
+		nfill := float64(bits.OnesCount64(uint64(tc.fill)))
+		if allocs := testing.AllocsPerRun(10, func() {
+			var c Columns
+			memo.Decode(want, &c) //nolint:errcheck
+		}); allocs != nfill {
+			t.Errorf("%s: memo hit made %v allocations, want %v (one per filled column)", tc.name, allocs, nfill)
+		}
 	}
 }

@@ -389,22 +389,44 @@ func (bd *BlockData) EnableMemo() {
 // filled, for cache byte budgeting.
 func (bd *BlockData) MemoBytes() int64 { return int64(bd.count) * memoRowBytes }
 
-// copyColumns fills dst with a copy of src's values. The memo's slices are
-// shared across requests, so callers get copies they are free to adopt,
-// reuse, or overwrite.
-func copyColumns(dst, src *Columns) {
-	dst.grow(src.N)
-	copy(dst.Level, src.Level)
-	copy(dst.Op, src.Op)
-	copy(dst.Lib, src.Lib)
-	copy(dst.Rank, src.Rank)
-	copy(dst.Node, src.Node)
-	copy(dst.App, src.App)
-	copy(dst.File, src.File)
-	copy(dst.Offset, src.Offset)
-	copy(dst.Size, src.Size)
-	copy(dst.Start, src.Start)
-	copy(dst.End, src.End)
+// copyColumns fills the columns of set in dst with copies of src's values.
+// The memo's slices are shared across requests, so callers get copies they
+// are free to adopt, reuse, or overwrite.
+func copyColumns(dst, src *Columns, set ColSet) {
+	dst.growSet(src.N, set)
+	if set&ColLevel != 0 {
+		copy(dst.Level, src.Level)
+	}
+	if set&ColOp != 0 {
+		copy(dst.Op, src.Op)
+	}
+	if set&ColLib != 0 {
+		copy(dst.Lib, src.Lib)
+	}
+	if set&ColRank != 0 {
+		copy(dst.Rank, src.Rank)
+	}
+	if set&ColNode != 0 {
+		copy(dst.Node, src.Node)
+	}
+	if set&ColApp != 0 {
+		copy(dst.App, src.App)
+	}
+	if set&ColFile != 0 {
+		copy(dst.File, src.File)
+	}
+	if set&ColOffset != 0 {
+		copy(dst.Offset, src.Offset)
+	}
+	if set&ColSize != 0 {
+		copy(dst.Size, src.Size)
+	}
+	if set&ColStart != 0 {
+		copy(dst.Start, src.Start)
+	}
+	if set&ColEnd != 0 {
+		copy(dst.End, src.End)
+	}
 }
 
 // Count returns the number of events in the block.
@@ -527,11 +549,15 @@ func (bd *BlockData) DecodeRuns(col int) ([]Run, error) {
 // column filled, full payload size reported). Additive: columns decoded by
 // an earlier call on the same cols are preserved. Memoized blocks (see
 // EnableMemo) decode every column exactly once and serve later calls as
-// copies reporting zero decoded bytes.
+// copies of the same columns a direct decode would fill, reporting zero
+// decoded bytes.
 func (bd *BlockData) Decode(want ColSet, cols *Columns) (int64, error) {
 	m := bd.memo
 	if m == nil {
 		return bd.decodeInto(want, cols)
+	}
+	if !bd.projectable {
+		want = AllCols
 	}
 	m.mu.Lock()
 	if !m.filled {
@@ -542,11 +568,11 @@ func (bd *BlockData) Decode(want ColSet, cols *Columns) (int64, error) {
 		}
 		m.bytes, m.filled = n, true
 		m.mu.Unlock()
-		copyColumns(cols, &m.cols)
+		copyColumns(cols, &m.cols, want)
 		return n, nil
 	}
 	m.mu.Unlock()
-	copyColumns(cols, &m.cols)
+	copyColumns(cols, &m.cols, want)
 	return 0, nil
 }
 

@@ -263,3 +263,36 @@ func FuzzBlockReader(f *testing.F) {
 		}
 	})
 }
+
+// FuzzUnpack holds the word-at-a-time unpack to the byte-window loop
+// (unpackWide, which every width above maxWordWidth still takes) on
+// arbitrary bytes, widths and value counts.
+func FuzzUnpack(f *testing.F) {
+	f.Add([]byte{0xff, 0x01, 0x80, 0x7f, 0x55, 0xaa, 0x00, 0x12, 0x34}, uint8(5), uint16(14))
+	f.Add(bytes.Repeat([]byte{0xa5}, 64), uint8(56), uint16(9))
+	f.Add(bytes.Repeat([]byte{0x3c}, 17), uint8(13), uint16(10))
+	f.Add(bytes.Repeat([]byte{0xff}, 72), uint8(64), uint16(9))
+	f.Fuzz(func(t *testing.T, data []byte, w uint8, n uint16) {
+		width := uint(w % 65)
+		cnt := int(n)
+		if width > 0 {
+			cnt = min(cnt, len(data)*8/int(width))
+		} else {
+			cnt = min(cnt, 1024)
+		}
+		src := data[:packedLen(cnt, width)]
+		var want []uint64
+		if width > 0 {
+			unpackWide(src, cnt, width, func(u uint64) bool {
+				want = append(want, u)
+				return true
+			})
+		}
+		unpackBoth(t, src, cnt, width, 7, func(i int) uint64 {
+			if width == 0 {
+				return 0
+			}
+			return want[i]
+		})
+	})
+}

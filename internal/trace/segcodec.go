@@ -165,43 +165,63 @@ func appendPacked(dst []byte, vals []int64, base uint64, width uint) []byte {
 	return dst
 }
 
+// maxWordWidth is the widest pack width the word path reads with a single
+// 8-byte load: a value starts at bit 0..7 of its first byte, and 7+56 bits
+// fit one uint64. Wider values take unpackWide's byte window.
+const maxWordWidth = 56
+
+// wordValues returns how many leading values of n width-bit values packed
+// in srcLen bytes start early enough that an 8-byte little-endian load at
+// their first byte stays inside src: value i qualifies while
+// (i*width)>>3 + 8 <= srcLen. The rest take the bounded byte tail.
+func wordValues(srcLen, n int, width uint) int {
+	if srcLen < 8 {
+		return 0
+	}
+	return min(n, (8*(srcLen-8)+7)/int(width)+1)
+}
+
+// tailWord loads the fewer than eight bytes of src from byte p on into the
+// low end of a little-endian word.
+func tailWord(src []byte, p uint) uint64 {
+	var w uint64
+	for i, b := range src[p:] {
+		w |= uint64(b) << (8 * i)
+	}
+	return w
+}
+
 // unpackInto reads n width-bit values from src (LSB-first), adding base mod
-// 2^64, into out[:n]. src must hold packedLen(n, width) bytes.
+// 2^64, into out[:n]. src must hold packedLen(n, width) bytes. Widths up to
+// maxWordWidth load one word per value; the last values, where fewer than
+// eight bytes remain, read a bounded byte tail.
 func unpackInto(src []byte, n int, width uint, base uint64, out []int64) {
+	out = out[:n]
 	if width == 0 {
-		for i := 0; i < n; i++ {
+		for i := range out {
 			out[i] = int64(base)
 		}
 		return
 	}
-	mask := uint64(1)<<width - 1
-	if width == 64 {
-		mask = ^uint64(0)
+	if width > maxWordWidth {
+		i := 0
+		unpackWide(src, n, width, func(u uint64) bool {
+			out[i] = int64(base + u)
+			i++
+			return true
+		})
+		return
 	}
-	var lo, hi uint64 // 128-bit window: bits fill lo first
-	var nb uint
-	pos := 0
-	for i := 0; i < n; i++ {
-		for nb < width {
-			b := uint64(src[pos])
-			pos++
-			if nb < 64 {
-				lo |= b << nb
-				if nb > 56 {
-					hi |= b >> (64 - nb)
-				}
-			} else {
-				hi |= b << (nb - 64)
-			}
-			nb += 8
-		}
-		out[i] = int64(base + lo&mask)
-		lo = lo>>width | hi<<(64-width)
-		if width == 64 {
-			lo = hi
-		}
-		hi >>= width
-		nb -= width
+	mask := uint64(1)<<width - 1
+	nw := wordValues(len(src), n, width)
+	bit := uint(0)
+	for i := 0; i < nw; i++ {
+		out[i] = int64(base + binary.LittleEndian.Uint64(src[bit>>3:])>>(bit&7)&mask)
+		bit += width
+	}
+	for i := nw; i < n; i++ {
+		out[i] = int64(base + tailWord(src, bit>>3)>>(bit&7)&mask)
+		bit += width
 	}
 }
 

@@ -369,3 +369,68 @@ func colIdxOf(set ColSet) int {
 func colRankIdx() int  { return colIdxOf(ColRank) }
 func colStartIdx() int { return colIdxOf(ColStart) }
 func colEndIdx() int   { return colIdxOf(ColEnd) }
+
+// unpackBitsRef reads value i of a width-bit LSB-first stream one bit at a
+// time — the definition both unpack paths are held to.
+func unpackBitsRef(src []byte, i int, width uint) uint64 {
+	var v uint64
+	for b := uint(0); b < width; b++ {
+		pos := uint(i)*width + b
+		v |= uint64(src[pos>>3]>>(pos&7)&1) << b
+	}
+	return v
+}
+
+// unpackBoth runs unpackInto and unpackEach over src and fails the test
+// unless both return want(i) for every value.
+func unpackBoth(t testing.TB, src []byte, n int, width uint, base uint64, want func(i int) uint64) {
+	t.Helper()
+	out := make([]int64, n)
+	unpackInto(src, n, width, base, out)
+	var each []uint64
+	unpackEach(src, n, width, func(u uint64) bool {
+		each = append(each, u)
+		return true
+	})
+	if len(each) != n {
+		t.Fatalf("width %d n %d: unpackEach yielded %d values", width, n, len(each))
+	}
+	for i := 0; i < n; i++ {
+		w := want(i)
+		if uint64(out[i]) != base+w || each[i] != w {
+			t.Fatalf("width %d n %d value %d: unpackInto %#x, unpackEach %#x, want %#x (base %#x)",
+				width, n, i, out[i], each[i], w, base)
+		}
+	}
+}
+
+// TestUnpackMatchesBitReference: both unpack functions agree with a
+// bit-by-bit reference at every width 0–64 and at lengths on both sides of
+// the last value that still loads a whole word, over arbitrary bytes (every
+// bit pattern is a valid packed stream). An early stop in unpackEach
+// yields exactly the values before it.
+func TestUnpackMatchesBitReference(t *testing.T) {
+	rng := uint64(0x243f6a8885a308d3)
+	next := func() byte {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		return byte(rng >> 56)
+	}
+	for width := uint(0); width <= 64; width++ {
+		for _, n := range []int{0, 1, 2, 3, 7, 8, 9, 10, 15, 16, 17, 63, 64, 65, 97, 200} {
+			src := make([]byte, packedLen(n, width))
+			for i := range src {
+				src[i] = next()
+			}
+			unpackBoth(t, src, n, width, 0x0123456789abcdef, func(i int) uint64 { return unpackBitsRef(src, i, width) })
+		}
+		src := make([]byte, packedLen(40, width))
+		for i := range src {
+			src[i] = next()
+		}
+		var got int
+		unpackEach(src, 40, width, func(uint64) bool { got++; return got < 13 })
+		if got != 13 {
+			t.Fatalf("width %d: early stop after 13 values saw %d", width, got)
+		}
+	}
+}

@@ -21,6 +21,7 @@ package trace
 // value ranges.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 )
@@ -454,7 +455,8 @@ func (sc *SegCursor) FORStats() (min, max, sum int64, ok bool) {
 
 // unpackEach streams n width-bit LSB-first values from src through fn
 // without materializing them; fn returning false stops the walk. src must
-// hold packedLen(n, width) bytes (the callers validated it with take).
+// hold packedLen(n, width) bytes (the callers validated it with take). It
+// reads words as unpackInto does.
 func unpackEach(src []byte, n int, width uint, fn func(u uint64) bool) {
 	if width == 0 {
 		for i := 0; i < n; i++ {
@@ -464,6 +466,30 @@ func unpackEach(src []byte, n int, width uint, fn func(u uint64) bool) {
 		}
 		return
 	}
+	if width > maxWordWidth {
+		unpackWide(src, n, width, fn)
+		return
+	}
+	mask := uint64(1)<<width - 1
+	nw := wordValues(len(src), n, width)
+	bit := uint(0)
+	for i := 0; i < nw; i++ {
+		if !fn(binary.LittleEndian.Uint64(src[bit>>3:]) >> (bit & 7) & mask) {
+			return
+		}
+		bit += width
+	}
+	for i := nw; i < n; i++ {
+		if !fn(tailWord(src, bit>>3) >> (bit & 7) & mask) {
+			return
+		}
+		bit += width
+	}
+}
+
+// unpackWide is unpackEach for widths above maxWordWidth, whose values can
+// span nine bytes: bytes feed a 128-bit window one at a time.
+func unpackWide(src []byte, n int, width uint, fn func(u uint64) bool) {
 	mask := uint64(1)<<width - 1
 	if width == 64 {
 		mask = ^uint64(0)

@@ -19,17 +19,15 @@
 # publish a single-core record from a multi-core machine unless explicitly
 # allowed with BENCH_ALLOW_SINGLE_CORE=1.
 #
-# After writing the record, the compressed-domain MB/s figures are compared
-# against the committed BENCH_PR6.json baseline, the grouped-aggregation
-# grouped-on arm against BENCH_PR7.json, the filtered grouped-on arm against
-# BENCH_PR10.json (those two baselines also hold a grouped-off arm the
-# benches no longer run, so the guards name the surviving arm), and the
-# in-memory analyzer's seq and par ns/op and bytes/op (it reports no MB/s)
-# against BENCH_PR12.json; a loss of more than 15% on any guarded arm fails
-# the run. Set BENCH_SKIP_REGRESSION=1 to record anyway.
+# After writing the record, it is compared against the latest committed
+# record, BENCH_PR14.json: the compressed-domain, grouped-aggregation and
+# filtered grouped MB/s, and the in-memory analyzer's seq and par ns/op and
+# bytes/op (it reports no MB/s); a loss of more than 15% on any guarded arm
+# fails the run. Set BENCH_SKIP_REGRESSION=1 to record anyway. The older
+# BENCH_PR*.json files are kept as history; the guards no longer read them.
 set -eu
 
-out="${1:-BENCH_PR12.json}"
+out="${1:-BENCH_PR14.json}"
 cd "$(dirname "$0")/.."
 
 ncpu="$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)"
@@ -67,20 +65,12 @@ rm -f "$tmp.cd"
 go run ./scripts/benchjson "$tmp" > "$out"
 echo "wrote $out"
 
-if [ "${BENCH_SKIP_REGRESSION:-0}" != "1" ] && [ -f BENCH_PR6.json ] && [ "$out" != "BENCH_PR6.json" ]; then
-    echo "== regression guard: BenchmarkCompressedDomain vs BENCH_PR6.json =="
-    go run ./scripts/benchcmp BENCH_PR6.json "$out"
-fi
-if [ "${BENCH_SKIP_REGRESSION:-0}" != "1" ] && [ -f BENCH_PR7.json ] && [ "$out" != "BENCH_PR7.json" ]; then
-    echo "== regression guard: BenchmarkGroupedAgg/grouped-on vs BENCH_PR7.json =="
-    go run ./scripts/benchcmp -prefix BenchmarkGroupedAgg/grouped-on BENCH_PR7.json "$out"
-fi
-if [ "${BENCH_SKIP_REGRESSION:-0}" != "1" ] && [ -f BENCH_PR10.json ] && [ "$out" != "BENCH_PR10.json" ]; then
-    echo "== regression guard: BenchmarkGroupedFiltered/grouped-on vs BENCH_PR10.json =="
-    go run ./scripts/benchcmp -prefix BenchmarkGroupedFiltered/grouped-on BENCH_PR10.json "$out"
-fi
-if [ "${BENCH_SKIP_REGRESSION:-0}" != "1" ] && [ -f BENCH_PR12.json ] && [ "$out" != "BENCH_PR12.json" ]; then
-    echo "== regression guard: BenchmarkAnalyzerParallelism ns/op and bytes/op vs BENCH_PR12.json =="
-    go run ./scripts/benchcmp -prefix BenchmarkAnalyzerParallelism -metric ns_per_op BENCH_PR12.json "$out"
-    go run ./scripts/benchcmp -prefix BenchmarkAnalyzerParallelism -metric bytes_per_op BENCH_PR12.json "$out"
+base=BENCH_PR14.json
+if [ "${BENCH_SKIP_REGRESSION:-0}" != "1" ] && [ -f "$base" ] && [ "$out" != "$base" ]; then
+    echo "== regression guards vs $base =="
+    go run ./scripts/benchcmp "$base" "$out"
+    go run ./scripts/benchcmp -prefix BenchmarkGroupedAgg/grouped-on "$base" "$out"
+    go run ./scripts/benchcmp -prefix BenchmarkGroupedFiltered/grouped-on "$base" "$out"
+    go run ./scripts/benchcmp -prefix BenchmarkAnalyzerParallelism -metric ns_per_op "$base" "$out"
+    go run ./scripts/benchcmp -prefix BenchmarkAnalyzerParallelism -metric bytes_per_op "$base" "$out"
 fi
